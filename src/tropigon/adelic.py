@@ -63,17 +63,6 @@ class PrimeIdeal:
         return f"PrimeIdeal(d={self.field.d}, p={self.p}, {self.kind}, gen=({self.gen.a},{self.gen.b}))"
 
 
-def _is_rational_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _ideal_gen(f: Field, p: int, r: int) -> QuadInt:
     # generator of (p, omega - r); class number 1 makes it principal
     g, _, _ = gcd(QuadInt(f, p, 0), QuadInt(f, -r, 1))
@@ -89,7 +78,7 @@ def primes_above(f: Field, p: int) -> tuple[PrimeIdeal, ...]:
     got = _PRIMES_ABOVE.get(key)
     if got is not None:
         return got
-    if not _is_rational_prime(p):
+    if _prime_factors(p) != [p]:
         raise OutOfDomain(f"{p} is not a rational prime")
     tr, nm = f.trace_omega, f.norm_omega
     roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]

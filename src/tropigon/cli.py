@@ -2,14 +2,17 @@
 
 JSON comes in through a positional file argument (or stdin when absent or
 "-"), results go to stdout as a single sorted-key JSON line; `render` emits
-SVG instead.  Exit codes: 0 success, 1 domain error, 2 malformed input —
-both error paths print a one-line JSON object describing the failure.
+SVG instead.  Exit codes: 0 success, 1 domain error, 2 malformed input or an
+unreadable or unwritable file, 3 internal error (traceback on stderr); each
+error prints a one-line JSON object describing it.  141 (128 + SIGPIPE): the
+reader closed stdout early, and nothing more is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -252,8 +255,11 @@ def cmd_render(args) -> int:
         overlays = []
     svg = render_polygon_svg(p, overlays)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {args.svg}: {exc}") from exc
         _emit({"svg": args.svg})
     else:
         sys.stdout.write(svg)
@@ -315,10 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # tensor's positional op shares the name "op" with nothing else; json may
-    # be consumed only by subcommands that declared it
+def _run(args) -> int:
     try:
         return _HANDLERS[args.cmd](args)
     except MalformedInput as exc:
@@ -332,6 +335,29 @@ def main(argv=None) -> int:
             out["prime"] = wire.prime_to_json(prime)
         print(wire.dumps(out))
         return 1
+    except BrokenPipeError:
+        raise
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(wire.dumps({"error": f"{exc.__class__.__name__}: {exc}", "kind": "internal-error"}))
+        return 3
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    # tensor's positional op shares the name "op" with nothing else; json may
+    # be consumed only by subcommands that declared it
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone (`selftest | head -1`); point stdout at devnull so
+        # the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

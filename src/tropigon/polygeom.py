@@ -1,9 +1,11 @@
 """Idempotent semiring of unit-symmetric convex polygons.
 
-A value is EMPTY, ZERO, or a proper polygon stored by its canonical sector
-vertices (one representative per unit orbit, argument in [0, 2*pi/sigma),
-sorted by increasing argument).  Hull and containment predicates run on
-integer coordinates over a common denominator, so everything is exact.
+A value is EMPTY, ZERO, or a proper polygon stored as its CCW integer orbit
+hull over a denominator `scale`, divided by gcd(scale, *coordinates) so that
+equal polygons compare and hash equal.  Every kernel runs on these integers
+over a common denominator, so everything is exact.  The canonical sector
+vertices (one per unit orbit, argument in [0, 2*pi/sigma), sorted by
+increasing argument) and the orbit points are rational views of the hull.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .errors import FieldMismatch, NotLattice, NotProper, WrongField, ZeroInput
 from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd, quadrat_in_ring
@@ -48,24 +50,12 @@ def _hull(points):
 
 def _orbit_expand(f: Field, pts, scale):
     # closes an integer point set under the unit action; d = 3 doubles the grid
-    if f.sigma == 2:
-        out = set()
-        for x, y in pts:
-            out.add((x, y))
-            out.add((-x, -y))
-        return out, scale
     if f.sigma == 4:
-        out = set()
-        for x, y in pts:
-            out.update(((x, y), (-y, x), (-x, -y), (y, -x)))
-        return out, scale
-    out = set()
-    for x, y in pts:
-        images = ((2 * x, 2 * y), (x - 3 * y, x + y), (-x - 3 * y, x - y))
-        for ix, iy in images:
-            out.add((ix, iy))
-            out.add((-ix, -iy))
-    return out, 2 * scale
+        pts = [q for x, y in pts for q in ((x, y), (-y, x))]
+    elif f.sigma == 6:
+        pts = [q for x, y in pts for q in ((2 * x, 2 * y), (x - 3 * y, x + y), (-x - 3 * y, x - y))]
+        scale *= 2
+    return {q for x, y in pts for q in ((x, y), (-x, -y))}, scale
 
 
 def _in_sector_grid(f: Field, x: int, y: int) -> bool:
@@ -78,28 +68,39 @@ def _in_sector_grid(f: Field, x: int, y: int) -> bool:
 
 def _arg_sort(points):
     # all arguments lie in a half-open half-plane, so one cross product orders them
-    import functools
-
     def cmp(p, q):
         c = p[0] * q[1] - p[1] * q[0]
         return -1 if c > 0 else (1 if c < 0 else 0)
 
-    return sorted(points, key=functools.cmp_to_key(cmp))
+    return sorted(points, key=cmp_to_key(cmp))
+
+
+def _covers(hull, s: int, pts, t: int) -> bool:
+    # every point (x/t, y/t) lies in the CCW integer hull over denominator s:
+    # cross(b - a, p - a) >= 0 for each edge a -> b, multiplied through by s*t
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        ex, ey = bx - ax, by - ay
+        c = t * (ex * ay - ey * ax)
+        for x, y in pts:
+            if s * (ex * y - ey * x) < c:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
 class SymPolygon:
     field: Field
     tag: str
-    sector: tuple[PlanePoint, ...]
+    scale: int
+    hull: tuple[tuple[int, int], ...]
 
     @staticmethod
     def empty(f: Field) -> SymPolygon:
-        return SymPolygon(f, EMPTY, ())
+        return SymPolygon(f, EMPTY, 1, ())
 
     @staticmethod
     def zero(f: Field) -> SymPolygon:
-        return SymPolygon(f, ZERO, ())
+        return SymPolygon(f, ZERO, 1, ())
 
     @staticmethod
     def from_points(f: Field, points) -> SymPolygon:
@@ -120,48 +121,35 @@ class SymPolygon:
             return SymPolygon.zero(f)
         if len(hull) < 3:
             raise NotProper("orbit hull has empty interior")
-        sector = _arg_sort([p for p in hull if _in_sector_grid(f, p[0], p[1])])
-        verts = tuple(PlanePoint(Fraction(x, scale), Fraction(y, scale)) for x, y in sector)
-        return SymPolygon(f, PROPER, verts)
+        g = math.gcd(scale, *(c for p in hull for c in p))
+        if g > 1:
+            scale //= g
+            hull = [(x // g, y // g) for x, y in hull]
+        return SymPolygon(f, PROPER, scale, tuple(hull))
 
     @cached_property
-    def _grid(self):
-        # (scale, sector points, full orbit hull CCW) over one integer grid
-        scale = 1
-        for p in self.sector:
-            scale = math.lcm(scale, p.x.denominator, p.y.denominator)
-        sector = [(int(p.x * scale), int(p.y * scale)) for p in self.sector]
-        orbit, scale2 = _orbit_expand(self.field, sector, scale)
-        if scale2 != scale:
-            sector = [(2 * x, 2 * y) for x, y in sector]
-            scale = scale2
-        return scale, sector, _hull(orbit)
+    def sector(self) -> tuple[PlanePoint, ...]:
+        s = self.scale
+        pts = _arg_sort([p for p in self.hull if _in_sector_grid(self.field, *p)])
+        return tuple(PlanePoint(Fraction(x, s), Fraction(y, s)) for x, y in pts)
 
     def orbit_points(self) -> list[PlanePoint]:
-        scale, _, hull = self._grid
-        return [PlanePoint(Fraction(x, scale), Fraction(y, scale)) for x, y in hull]
+        s = self.scale
+        return [PlanePoint(Fraction(x, s), Fraction(y, s)) for x, y in self.hull]
 
     def contains(self, p: PlanePoint) -> bool:
-        if self.tag == EMPTY:
-            return False
-        if self.tag == ZERO:
-            return p.is_origin()
-        scale, _, hull = self._grid
-        px, py = p.x * scale, p.y * scale
-        n = len(hull)
-        for i in range(n):
-            ax, ay = hull[i]
-            bx, by = hull[(i + 1) % n]
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-                return False
-        return True
+        if self.tag != PROPER:
+            return self.tag == ZERO and p.is_origin()
+        t = math.lcm(p.x.denominator, p.y.denominator)
+        return _covers(self.hull, self.scale, [(int(p.x * t), int(p.y * t))], t)
 
     def contains_polygon(self, other: SymPolygon) -> bool:
         if other.tag == EMPTY:
             return True
-        if other.tag == ZERO:
-            return self.contains(PlanePoint(Fraction(0), Fraction(0)))
-        return all(self.contains(p) for p in other.orbit_points())
+        if self.tag != PROPER:
+            return self.tag == ZERO == other.tag
+        # a proper polygon is symmetric about the origin, so it holds ZERO
+        return _covers(self.hull, self.scale, other.hull, other.scale)
 
     def max_abs2(self) -> Fraction:
         return max(p.abs2(self.field.d) for p in self.sector)
@@ -195,11 +183,11 @@ def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
         return b
     if b.tag == EMPTY:
         return a
-    if a.tag == ZERO:
-        return b
-    if b.tag == ZERO:
-        return a
-    return SymPolygon.from_points(a.field, list(a.sector) + list(b.sector))
+    # ZERO's hull is empty, and a proper polygon already holds the origin
+    s = math.lcm(a.scale, b.scale)
+    ma, mb = s // a.scale, s // b.scale
+    pts = [(x * ma, y * ma) for x, y in a.hull] + [(x * mb, y * mb) for x, y in b.hull]
+    return SymPolygon._from_grid(a.field, pts, s)
 
 
 def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
@@ -210,11 +198,9 @@ def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
         return b
     if b.tag == ZERO:
         return a
-    sa, _, ha = a._grid
-    sb, _, hb = b._grid
-    s = math.lcm(sa, sb)
-    ma, mb = s // sa, s // sb
-    pts = {(x1 * ma + x2 * mb, y1 * ma + y2 * mb) for x1, y1 in ha for x2, y2 in hb}
+    s = math.lcm(a.scale, b.scale)
+    ma, mb = s // a.scale, s // b.scale
+    pts = {(x1 * ma + x2 * mb, y1 * ma + y2 * mb) for x1, y1 in a.hull for x2, y2 in b.hull}
     return SymPolygon._from_grid(a.field, pts, s)
 
 
@@ -225,12 +211,15 @@ def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
         return a
     if mu.is_zero() or a.tag == ZERO:
         return SymPolygon.zero(a.field)
-    mp = mu.plane()
-    return SymPolygon.from_points(a.field, [p.cmul(mp, a.field.d) for p in a.sector])
-
-
-def _scale_int(m: QuadInt, a: SymPolygon) -> SymPolygon:
-    return scale_act(QuadRat(m, 1), a)
+    # mu is the plane point (u, v)/w; multiplying by it is a similarity that
+    # commutes with the units, so the image of the hull is the new hull
+    f, n = a.field, mu.num
+    if f.case == 1:
+        u, v, w = n.a, n.b, mu.den
+    else:
+        u, v, w = 2 * n.a + n.b, n.b, 2 * mu.den
+    pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
+    return SymPolygon._from_grid(f, pts, a.scale * w)
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,7 @@ def membership_in_generated(
     base = dk(f)
     covered = SymPolygon.empty(f)
     for s in sector_ints:
-        covered = hull_union(covered, _scale_int(s, base))
+        covered = hull_union(covered, scale_act(QuadRat(s, 1), base))
     if covered == scaled:
         dec = GeneratorDecomposition(tuple((g * s,) for s in sector_ints))
         return True, dec
@@ -324,7 +313,7 @@ def membership_in_generated(
     for m in _enumerate_norm_le(f, bound):
         if not m.in_sector():
             continue
-        q = _scale_int(m, base)
+        q = scale_act(QuadRat(m, 1), base)
         if scaled.contains_polygon(q):
             cand.append((m, q))
 
@@ -373,7 +362,7 @@ def sector_decompose(p: SymPolygon) -> list[QuadInt]:
 def reconstruct_lemma_polygon(p: SymPolygon) -> SymPolygon:
     acc = SymPolygon.empty(p.field)
     for s in sector_decompose(p):
-        acc = hull_union(acc, _scale_int(s, dk(p.field)))
+        acc = hull_union(acc, scale_act(QuadRat(s, 1), dk(p.field)))
     return acc
 
 

@@ -173,14 +173,6 @@ def canonical_unit_rep(x: QuadInt) -> QuadInt:
     raise AssertionError("no unit image in sector")  # unreachable
 
 
-def _rep_with_unit(x: QuadInt) -> tuple[QuadInt, QuadInt]:
-    for u in x.field.units:
-        y = u * x
-        if y.in_sector():
-            return y, u
-    raise AssertionError
-
-
 @dataclass(frozen=True)
 class QuadRat:
     """num/den in lowest terms, den > 0."""
@@ -349,12 +341,13 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
     f = x.field
     if x.is_zero() and y.is_zero():
         raise BothZero("gcd(0, 0)")
+    # the unit u with canonical_unit_rep(v) = u*v is the exact quotient
     if y.is_zero():
-        g, u = _rep_with_unit(x)
-        return g, u, f.zero
+        g = canonical_unit_rep(x)
+        return g, div_exact(g, x).num, f.zero
     if x.is_zero():
-        g, u = _rep_with_unit(y)
-        return g, f.zero, u
+        g = canonical_unit_rep(y)
+        return g, f.zero, div_exact(g, y).num
 
     w = f.omega
     # rows: lattice vectors in omega-coordinates; coeffs: (s, t) with row = s*x + t*y
@@ -399,8 +392,9 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
             break
         u, v, cu, cv = v, u, cv, cu
 
-    g = QuadInt(f, u[0], u[1])
-    g, uc = _rep_with_unit(g)
+    short = QuadInt(f, u[0], u[1])
+    g = canonical_unit_rep(short)
+    uc = div_exact(g, short).num
     s, t = uc * cu[0], uc * cu[1]
     assert s * x + t * y == g
     assert divides(g, x) and divides(g, y)

@@ -137,6 +137,17 @@ def test_primes_upto_ordering_and_bounds():
         primes_above(F1, 4)
 
 
+@pytest.mark.parametrize("p", [-7, 0, 1, 4, 9])
+def test_primes_above_rejects_non_primes(p):
+    with pytest.raises(OutOfDomain):
+        primes_above(F1, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_primes_above_accepts_primes(p):
+    assert all(q.p == p for q in primes_above(F1, p))
+
+
 # --------------------------------------------------------------- valuations
 
 

@@ -368,6 +368,13 @@ def test_render_svg_file(tmp_path):
     assert root.tag.endswith("svg")
 
 
+def test_render_svg_write_error_is_exit_2(tmp_path):
+    target = tmp_path / "missing" / "out.svg"
+    code, out, err = run(["render", "--svg", str(target)], json.dumps(DK1))
+    assert code == 2 and err == ""
+    assert json.loads(out)["kind"] == "malformed-input"
+
+
 def test_render_degenerate_polygons_draw_blank_canvas():
     code, out, _ = run(["render"], json.dumps({"tag": "empty", "field": 1}))
     assert code == 0
@@ -396,3 +403,36 @@ def test_every_output_line_is_json():
     for args, payload in calls:
         code, lines = run_json(args, payload)
         assert code == 0 and lines
+
+
+# ---------------------------------------------------------------- error paths
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader is gone before the first write, as in `selftest | head -1`
+    p = subprocess.Popen(
+        CMD + ["primes", "--field", "1", "--bound", "50"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    p.stdout.close()
+    err = p.stderr.read().decode()
+    p.stderr.close()
+    assert p.wait() == 141
+    assert err == ""
+
+
+def test_unexpected_exception_is_exit_3():
+    script = (
+        "import sys\n"
+        "from tropigon import cli\n"
+        "def boom(args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli._HANDLERS['field-info'] = boom\n"
+        "sys.exit(cli.main(['field-info']))\n"
+    )
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert p.returncode == 3
+    assert p.stderr.startswith("Traceback") and "RuntimeError: boom" in p.stderr
+    (line,) = p.stdout.splitlines()
+    assert json.loads(line) == {"error": "RuntimeError: boom", "kind": "internal-error"}

@@ -1,5 +1,6 @@
 """Polygon semiring laws, generator decompositions, and the membership dichotomy."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from tropigon import (
     stalk_scale,
 )
 from tropigon.errors import NotProper, WrongField, ZeroInput
+from tropigon.polygeom import _hull, _orbit_expand
 from tropigon.quadfield import PlanePoint
 
 fields = st.sampled_from([field(d) for d in HEEGNER_DS])
@@ -314,3 +316,147 @@ def test_single_point_orbits_need_area():
     f = field(2)
     with pytest.raises(NotProper):
         SymPolygon.from_points(f, [f.one.plane()])
+
+
+# ------------------------------------------------------------- stored form
+
+
+@st.composite
+def rational_polygons(draw, f=None):
+    # proper polygons with rational vertices, so the stored scale exceeds 1
+    ff = f if f is not None else draw(fields)
+    coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    pts = [PlanePoint(draw(coord), draw(coord)) for _ in range(draw(st.integers(1, 3)))]
+    pts = [p for p in pts if not p.is_origin()] + [ff.one.plane(), ff.omega.plane()]
+    return SymPolygon.from_points(ff, pts)
+
+
+@st.composite
+def scalars(draw, f):
+    num = QuadInt(f, draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+    return QuadRat.make(num, draw(st.integers(1, 5)))
+
+
+def _same_stored_form(p, q):
+    assert p.scale == q.scale and p.hull == q.hull
+    assert p == q and hash(p) == hash(q)
+
+
+@given(rational_polygons(), st.integers(2, 9))
+def test_hull_drops_the_denominators_of_inner_points(p, k):
+    # v/k lies inside for every vertex v, so it adds a denominator but no vertex
+    inner = [PlanePoint(v.x / k, v.y / k) for v in p.sector]
+    _same_stored_form(p, SymPolygon.from_points(p.field, list(p.sector) + inner))
+
+
+@given(rational_polygons())
+def test_every_route_gives_one_stored_form(p):
+    f = p.field
+    _same_stored_form(p, SymPolygon.from_points(f, p.sector))
+    _same_stored_form(p, SymPolygon.from_points(f, p.orbit_points()))
+    # hull_union skips the orbit expansion, which doubles the grid for d = 3
+    _same_stored_form(p, hull_union(p, p))
+    half, two = QuadRat.make(f.one, 2), QuadRat.from_int(f, 2)
+    _same_stored_form(p, scale_act(two, scale_act(half, p)))
+
+
+def test_stored_form_of_d3_hexagons():
+    f = field(3)
+    base = dk(f)
+    # the orbit of 1 holds (1/2, 1/2), so D_K keeps denominator 2
+    assert base.scale == 2 and base.sector == (PlanePoint(Fraction(1), Fraction(0)),)
+    two = SymPolygon.from_points(f, [QuadInt(f, 2, 0).plane()])
+    assert two.scale == 1 and len(two.hull) == 6
+    _same_stored_form(two, scale_act(QuadRat.from_int(f, 2), base))
+    _same_stored_form(two, minkowski_sum(base, base))
+    for p in (SymPolygon.empty(f), SymPolygon.zero(f)):
+        assert (p.scale, p.hull, p.sector, p.orbit_points()) == (1, (), (), [])
+
+
+# The kernels below are the Fraction implementations the stored hull
+# replaced; they stay here as differential oracles.
+
+
+def _old_grid(p):
+    scale = 1
+    for v in p.sector:
+        scale = math.lcm(scale, v.x.denominator, v.y.denominator)
+    sector = [(int(v.x * scale), int(v.y * scale)) for v in p.sector]
+    orbit, scale = _orbit_expand(p.field, sector, scale)
+    return scale, _hull(orbit)
+
+
+def _old_contains(p, pt):
+    if p.tag == EMPTY:
+        return False
+    if p.tag == ZERO:
+        return pt.is_origin()
+    scale, hull = _old_grid(p)
+    px, py = pt.x * scale, pt.y * scale
+    n = len(hull)
+    for i in range(n):
+        ax, ay = hull[i]
+        bx, by = hull[(i + 1) % n]
+        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
+            return False
+    return True
+
+
+def _old_contains_polygon(a, b):
+    if b.tag == EMPTY:
+        return True
+    if b.tag == ZERO:
+        return _old_contains(a, PlanePoint(Fraction(0), Fraction(0)))
+    scale, hull = _old_grid(b)
+    return all(_old_contains(a, PlanePoint(Fraction(x, scale), Fraction(y, scale))) for x, y in hull)
+
+
+def _old_hull_union(a, b):
+    if a.tag == EMPTY:
+        return b
+    if b.tag == EMPTY:
+        return a
+    if a.tag == ZERO:
+        return b
+    if b.tag == ZERO:
+        return a
+    return SymPolygon.from_points(a.field, list(a.sector) + list(b.sector))
+
+
+def _old_scale_act(mu, a):
+    if a.tag == EMPTY:
+        return a
+    if mu.is_zero() or a.tag == ZERO:
+        return SymPolygon.zero(a.field)
+    mp = mu.plane()
+    return SymPolygon.from_points(a.field, [p.cmul(mp, a.field.d) for p in a.sector])
+
+
+@st.composite
+def mixed_pairs(draw):
+    f = draw(fields)
+    pick = st.one_of(polygons(f), rational_polygons(f))
+    return draw(pick), draw(pick)
+
+
+@given(mixed_pairs(), st.fractions(-4, 4, max_denominator=6), st.fractions(-4, 4, max_denominator=6))
+def test_contains_matches_the_fraction_kernel(ab, x, y):
+    a, b = ab
+    assert a.contains_polygon(b) == _old_contains_polygon(a, b)
+    assert b.contains_polygon(a) == _old_contains_polygon(b, a)
+    for pt in [PlanePoint(x, y), *b.orbit_points()]:
+        assert a.contains(pt) == _old_contains(a, pt)
+
+
+@given(mixed_pairs())
+def test_hull_union_matches_the_fraction_kernel(ab):
+    a, b = ab
+    _same_stored_form(hull_union(a, b), _old_hull_union(a, b))
+
+
+@given(st.data())
+def test_scale_act_matches_the_fraction_kernel(data):
+    f = data.draw(fields)
+    a = data.draw(st.one_of(polygons(f), rational_polygons(f)))
+    mu = data.draw(scalars(f))
+    _same_stored_form(scale_act(mu, a), _old_scale_act(mu, a))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropigon import HEEGNER_DS, QuadInt, QuadRat, field, gcd
-from tropigon.errors import BothZero, DivByZero, FieldMismatch
+from tropigon.errors import BothZero, DivByZero, FieldMismatch, ZeroInput
 from tropigon.quadfield import (
     canonical_unit_rep,
     div_exact,
@@ -75,6 +75,8 @@ def test_canonical_unit_rep_values():
     assert canonical_unit_rep(QuadInt(f1, 0, -1)) == QuadInt(f1, 1, 0)
     assert canonical_unit_rep(QuadInt(f2, -3, 0)) == QuadInt(f2, 3, 0)
     assert canonical_unit_rep(QuadInt(f1, 1, -1)) == QuadInt(f1, 1, 1)
+    with pytest.raises(ZeroInput):
+        canonical_unit_rep(f1.zero)
 
 
 def test_gcd_values():
