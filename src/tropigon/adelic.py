@@ -18,6 +18,7 @@ from .errors import (
     OutOfDomain,
     ZeroInput,
     ZeroModule,
+    check,
 )
 from .polygeom import PROPER, SymPolygon, membership_in_generated, scale_act
 from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd, plane_to_quadrat
@@ -66,7 +67,7 @@ class PrimeIdeal:
 def _ideal_gen(f: Field, p: int, r: int) -> QuadInt:
     # generator of (p, omega - r); class number 1 makes it principal
     g, _, _ = gcd(QuadInt(f, p, 0), QuadInt(f, -r, 1))
-    assert g.norm() == p
+    check(g.norm() == p)
     return g
 
 
@@ -95,7 +96,7 @@ def primes_above(f: Field, p: int) -> tuple[PrimeIdeal, ...]:
     return out
 
 
-def _sieve(bound: int) -> list[int]:
+def sieve(bound: int) -> list[int]:
     if bound < 2:
         return []
     flags = bytearray([1]) * (bound + 1)
@@ -108,7 +109,7 @@ def _sieve(bound: int) -> list[int]:
 
 def primes_upto(f: Field, bound: int) -> list[PrimeIdeal]:
     out: list[PrimeIdeal] = []
-    for p in _sieve(bound):
+    for p in sieve(bound):
         out.extend(primes_above(f, p))
     return out
 
@@ -186,7 +187,7 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _support_primes(q: QuadRat) -> list[PrimeIdeal]:
+def support_primes(q: QuadRat) -> list[PrimeIdeal]:
     # every prime where v(q) could be nonzero lies above norm(num)*den
     out: list[PrimeIdeal] = []
     for p in _prime_factors(q.num.norm() * q.den):
@@ -295,7 +296,7 @@ def adele_from_module(h: ModuleHandle) -> ValuationVector:
     ratio = complementary_generator(h.field) / h.gen
     free_set = set(h.free)
     exps = []
-    for prime in _support_primes(ratio):
+    for prime in support_primes(ratio):
         if prime in free_set:
             continue
         e = valuation(ratio, prime)
@@ -355,7 +356,7 @@ def point_iso(pa: tuple[ValuationVector, QuadRat], pb: tuple[ValuationVector, Qu
     k = mu / lam
     ea = dict(a.exps)
     eb = dict(b.exps)
-    support = set(ea) | set(eb) | set(_support_primes(k))
+    support = set(ea) | set(eb) | set(support_primes(k))
     free_set = set(a.free)
     for prime in support:
         if prime in free_set:
@@ -388,7 +389,7 @@ class FiniteSection:
         return FiniteSection(f, prime_bound, tuple(items))
 
 
-def _section_violation(s: FiniteSection) -> PrimeIdeal | None:
+def section_violation(s: FiniteSection) -> PrimeIdeal | None:
     # only denominator primes can fail, and only at places other than the
     # component's own prime; the bound keeps the check finite
     for prime, xi in s.values:
@@ -402,19 +403,19 @@ def _section_violation(s: FiniteSection) -> PrimeIdeal | None:
 
 
 def section_validate(s: FiniteSection) -> bool:
-    return _section_violation(s) is None
+    return section_violation(s) is None
 
 
 def section_act(k: QuadInt, s: FiniteSection) -> FiniteSection:
     if k.field.d != s.field.d:
         raise FieldMismatch(f"d={k.field.d} scalar on a d={s.field.d} section")
-    bad = _section_violation(s)
+    bad = section_violation(s)
     if bad is not None:
         raise InvalidSection(bad)
     out = FiniteSection.make(
         s.field, s.prime_bound, [(prime, xi * k) for prime, xi in s.values]
     )
-    assert _section_violation(out) is None  # integral scaling never lowers a valuation
+    check(section_violation(out) is None)  # integral scaling never lowers a valuation
     return out
 
 

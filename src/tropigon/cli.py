@@ -6,6 +6,11 @@ SVG instead.  Exit codes: 0 success, 1 domain error, 2 malformed input or an
 unreadable or unwritable file, 3 internal error (traceback on stderr); each
 error prints a one-line JSON object describing it.  141 (128 + SIGPIPE): the
 reader closed stdout early, and nothing more is printed.
+
+Flags that size the work are capped, and a larger value exits 2 with kind
+malformed-input: `primes --bound` at MAX_PRIME_BOUND, `tensor experiment
+--bound` at MAX_EXPERIMENT_SAMPLES and `tensor --witness-bound` at
+MAX_WITNESS_BOUND.
 """
 
 from __future__ import annotations
@@ -18,13 +23,13 @@ import sys
 
 from . import selftest, wire
 from .adelic import (
-    _section_violation,
     adele_from_module,
     ideal_count_upto,
     iso_class_equal,
     module_from_adele,
     primes_upto,
     section_act,
+    section_violation,
 )
 from .envelope import phi, phi_inv
 from .errors import DomainError, MalformedInput
@@ -37,6 +42,18 @@ from .tensorlab import (
     eval_separator,
     reduced_equal,
 )
+
+MAX_PRIME_BOUND = 10_000
+MAX_EXPERIMENT_SAMPLES = 1_000
+MAX_WITNESS_BOUND = 16
+
+
+def _capped(value: int | None, default: int, cap: int, flag: str) -> int:
+    if value is None:
+        return default
+    if value > cap:
+        raise MalformedInput(f"{flag} must be <= {cap}")
+    return value
 
 
 def _load_json(args) -> object:
@@ -88,7 +105,7 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    data = wire._as_dict(_load_json(args), "poly request")
+    data = wire.as_dict(_load_json(args), "poly request")
     op = _need(data, "op")
     ef = _field_flag(args)
     a = wire.polygon_from_json(_need(data, "A"), ef)
@@ -105,13 +122,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_member(args) -> int:
-    data = wire._as_dict(_load_json(args), "member request")
+    data = wire.as_dict(_load_json(args), "member request")
     ef = _field_flag(args)
     if "polygon" in data:
         p = wire.polygon_from_json(data["polygon"], ef)
         gens = [
             wire.quadrat_from_json(p.field, g)
-            for g in wire._as_list(data.get("generators", []), "generators")
+            for g in wire.as_list(data.get("generators", []), "generators")
         ] or None
     else:
         p = wire.polygon_from_json(data, ef)
@@ -122,7 +139,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    data = wire._as_dict(_load_json(args), "dual request")
+    data = wire.as_dict(_load_json(args), "dual request")
     ef = _field_flag(args)
     if data.get("tag") == "bottom" or "lines" in data:
         e = wire.envelope_from_json(data)
@@ -135,7 +152,7 @@ def cmd_dual(args) -> int:
 
 def cmd_primes(args) -> int:
     f = _field_flag(args, required=True)
-    bound = args.bound if args.bound is not None else 50
+    bound = _capped(args.bound, 50, MAX_PRIME_BOUND, "--bound")
     if bound < 2:
         raise MalformedInput("--bound must be >= 2")
     out = {
@@ -150,7 +167,7 @@ def cmd_primes(args) -> int:
 
 def cmd_adele(args) -> int:
     f = _field_flag(args, required=True)
-    data = wire._as_dict(_load_json(args), "adele request")
+    data = wire.as_dict(_load_json(args), "adele request")
     op = _need(data, "op")
     if op == "module":
         a = wire.vector_from_json(f, _need(data, "vector"))
@@ -169,7 +186,7 @@ def cmd_adele(args) -> int:
         _emit({"member": h.member(q)})
     elif op == "validate":
         s = wire.section_from_json(f, _need(data, "section"))
-        bad = _section_violation(s)
+        bad = section_violation(s)
         out = {"valid": bad is None}
         if bad is not None:
             out["prime"] = wire.prime_to_json(bad)
@@ -184,7 +201,7 @@ def cmd_adele(args) -> int:
 
 
 def cmd_stalk(args) -> int:
-    data = wire._as_dict(_load_json(args), "stalk request")
+    data = wire.as_dict(_load_json(args), "stalk request")
     ef = _field_flag(args)
     p = wire.polygon_from_json(_need(data, "polygon"), ef)
     k = wire.quadrat_from_json(p.field, _need(data, "k"))
@@ -208,14 +225,14 @@ def _experiment_record_json(rec: dict) -> dict:
 
 
 def cmd_tensor(args) -> int:
-    wb = args.witness_bound if args.witness_bound is not None else 2
+    wb = _capped(args.witness_bound, 2, MAX_WITNESS_BOUND, "--witness-bound")
     if args.op == "experiment":
-        samples = args.bound if args.bound is not None else 50
+        samples = _capped(args.bound, 50, MAX_EXPERIMENT_SAMPLES, "--bound")
         seed = args.seed if args.seed is not None else 0
         for rec in cancellativity_experiment(samples, witness_bound=wb, seed=seed):
             _emit(_experiment_record_json(rec))
         return 0
-    data = wire._as_dict(_load_json(args), "tensor request")
+    data = wire.as_dict(_load_json(args), "tensor request")
     if args.op == "normalize":
         t = wire.tensor_from_json(data.get("tensor", data))
         _emit(wire.tensor_to_json(t))
@@ -224,8 +241,8 @@ def cmd_tensor(args) -> int:
         t = wire.tensor_from_json(_need(data, "B"))
         _emit({"verdict": eval_separator(s, t)})
     elif args.op == "reduce":
-        xd = wire._as_dict(_need(data, "x"), "x")
-        yd = wire._as_dict(_need(data, "y"), "y")
+        xd = wire.as_dict(_need(data, "x"), "x")
+        yd = wire.as_dict(_need(data, "y"), "y")
         x = ReducedElement(wire.tensor_from_json(_need(xd, "a")), wire.tensor_from_json(_need(xd, "b")))
         y = ReducedElement(wire.tensor_from_json(_need(yd, "a")), wire.tensor_from_json(_need(yd, "b")))
         hint = wire.tensor_from_json(data["hint"]) if "hint" in data else None
@@ -242,13 +259,13 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = wire._as_dict(_load_json(args), "render request")
+    data = wire.as_dict(_load_json(args), "render request")
     ef = _field_flag(args)
     if "polygon" in data:
         p = wire.polygon_from_json(data["polygon"], ef)
         overlays = [
             wire.polygon_from_json(o, p.field)
-            for o in wire._as_list(data.get("overlays", []), "overlays")
+            for o in wire.as_list(data.get("overlays", []), "overlays")
         ]
     else:
         p = wire.polygon_from_json(data, ef)

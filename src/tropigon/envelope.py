@@ -9,9 +9,11 @@ slope.  BOTTOM is the constant -infinity.
 Read as a point, a line's value at t is its pairing with the direction
 (1 - t, t), so an envelope is the support function of its points over the
 quarter-turn of directions from (1, 0) to (0, 1).  The canonical form is
-therefore one arc of the convex hull of the points.  `leq(f, g)` compares
-the lines of f with g only at t = 0, at t = 1 and at g's breakpoints.  Both
-run on integers over a common denominator, so they are exact.
+therefore one arc of the convex hull of the points.  An envelope is stored
+as that arc in integers over a denominator `scale`, divided by
+gcd(scale, *coordinates) so that equal envelopes compare and hash equal;
+BOTTOM is the empty arc.  `lines` is the rational view of the arc.  Every
+operation runs on the integers over a common denominator, so all are exact.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -27,99 +29,88 @@ from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
 from .polygeom import EMPTY, ZERO, SymPolygon, _hull
-from .quadfield import PlanePoint, field
+from .quadfield import field
 
 Line = tuple[Fraction, Fraction]
 
 NEG_INF = float("-inf")
 
 
-def _scaled(lines) -> tuple[int, list[tuple[int, int]]]:
-    """A common denominator d and the integer points (a*d, b*d) of the lines."""
-    d = math.lcm(*(x.denominator for ln in lines for x in ln))
-    return d, [
-        (a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)) for a, b in lines
-    ]
+def _canonical(pts, scale: int) -> Envelope:
+    """The envelope of the lines (x/scale, y/scale) for nonempty integer points.
 
-
-def _canonical(lines) -> tuple[Line, ...]:
-    """Keep the lines attaining the upper envelope on positive length, by slope.
-
-    These are the vertices of the counter-clockwise hull arc from the point
-    maximizing (a, b) lexicographically to the one maximizing (b, a): the
-    arc's outward normals are the directions (1 - t, t), and its slopes b - a
-    increase along it.  The hull keeps strict turns only, so a line that
-    meets the envelope in a single point is dropped.
+    Its lines are the vertices of the counter-clockwise hull arc from the
+    point maximizing (a, b) lexicographically to the one maximizing (b, a):
+    the arc's outward normals are the directions (1 - t, t), and its slopes
+    b - a increase along it.  The hull keeps strict turns only, so a line
+    that meets the envelope in a single point is dropped.
     """
-    lines = list(lines)
-    _, pts = _scaled(lines)
-    back = dict(zip(pts, lines))
     hull = _hull(pts)
     i = hull.index(max(hull))
     j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
     arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
-    return tuple(back[p] for p in arc)
+    g = math.gcd(scale, *(c for p in arc for c in p))
+    if g > 1:
+        scale //= g
+        arc = [(x // g, y // g) for x, y in arc]
+    return Envelope(scale, tuple(arc))
 
 
 @dataclass(frozen=True)
 class Envelope:
-    lines: tuple[Line, ...] | None  # None encodes BOTTOM
+    scale: int
+    arc: tuple[tuple[int, int], ...]  # () encodes BOTTOM
 
     @staticmethod
     def bottom() -> Envelope:
-        return Envelope(None)
+        return Envelope(1, ())
 
     @staticmethod
     def of(lines) -> Envelope:
-        ls = tuple((Fraction(a), Fraction(b)) for a, b in lines)
+        ls = [(Fraction(a), Fraction(b)) for a, b in lines]
         if not ls:
-            return Envelope(None)
-        return Envelope(_canonical(ls))
+            return Envelope.bottom()
+        s = math.lcm(*(x.denominator for ln in ls for x in ln))
+        pts = [(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)) for a, b in ls]
+        return _canonical(pts, s)
 
     @staticmethod
     def zero() -> Envelope:
-        return Envelope(((Fraction(0), Fraction(0)),))
+        return Envelope(1, ((0, 0),))
 
     def is_bottom(self) -> bool:
-        return self.lines is None
+        return not self.arc
 
     @cached_property
-    def _int_view(self) -> tuple[int, tuple, tuple]:
-        """(d, lines, probes) of a non-BOTTOM envelope, all in integers.
-
-        Each line is (a*d, (b - a)*d).  Each probe (p, q, v) is a point
-        t = p/q, q > 0, taken from t = 0, the breakpoints and t = 1, where the
-        envelope's value is v/(q*d).
-        """
-        d, pts = _scaled(self.lines)
-        lines = tuple((a, b - a) for a, b in pts)
-        probes = [(0, 1, lines[0][0])]
-        for (a0, s0), (a1, s1) in zip(lines, lines[1:]):
-            p, q = a0 - a1, s1 - s0
-            probes.append((p, q, a0 * q + s0 * p))
-        a, s = lines[-1]
-        probes.append((1, 1, a + s))
-        return d, lines, tuple(probes)
+    def lines(self) -> tuple[Line, ...] | None:
+        """The canonical lines as rationals, by increasing slope; None for BOTTOM."""
+        if not self.arc:
+            return None
+        s = self.scale
+        return tuple((Fraction(a, s), Fraction(b, s)) for a, b in self.arc)
 
     def __repr__(self):
-        if self.lines is None:
+        if not self.arc:
             return "Envelope(bottom)"
         return "Envelope(" + ", ".join(f"({a},{b})" for a, b in self.lines) + ")"
 
 
 def tmax(f: Envelope, g: Envelope) -> Envelope:
-    if f.lines is None:
+    if not f.arc:
         return g
-    if g.lines is None:
+    if not g.arc:
         return f
-    return Envelope(_canonical(f.lines + g.lines))
+    s = math.lcm(f.scale, g.scale)
+    mf, mg = s // f.scale, s // g.scale
+    return _canonical([(a * mf, b * mf) for a, b in f.arc] + [(a * mg, b * mg) for a, b in g.arc], s)
 
 
 def tplus(f: Envelope, g: Envelope) -> Envelope:
-    if f.lines is None or g.lines is None:
-        return Envelope(None)
-    sums = {(a + c, b + d) for a, b in f.lines for c, d in g.lines}
-    return Envelope(_canonical(sums))
+    if not f.arc or not g.arc:
+        return Envelope.bottom()
+    s = math.lcm(f.scale, g.scale)
+    mf, mg = s // f.scale, s // g.scale
+    return _canonical({(a * mf + c * mg, b * mf + d * mg) for a, b in f.arc for c, d in g.arc}, s)
 
 
 def eval_at(f: Envelope, t: Fraction):
@@ -127,7 +118,7 @@ def eval_at(f: Envelope, t: Fraction):
     t = Fraction(t)
     if t < 0 or t > 1:
         raise OutOfDomain(f"t = {t} outside [0, 1]")
-    if f.lines is None:
+    if not f.arc:
         return NEG_INF
     return max(a + (b - a) * t for a, b in f.lines)
 
@@ -137,32 +128,31 @@ def leq(f: Envelope, g: Envelope) -> bool:
 
     A line of f minus g is concave and piecewise linear with kinks only at
     g's breakpoints, so f <= g holds exactly when every line of f is at most
-    g at t = 0, at t = 1 and at each breakpoint of g.  The comparison is
-    cross-multiplied over the two envelopes' denominators.
+    g at t = 0, at t = 1 and at each breakpoint of g.  These are the
+    directions (1, 0), (0, 1) and the outward normal (b1 - b0, a0 - a1) of
+    each edge of g's arc, where g's value is a0*b1 - a1*b0; the comparison
+    is cross-multiplied over the two scales.
     """
-    if f.lines is None:
+    if not f.arc:
         return True
-    if g.lines is None:
+    if not g.arc:
         return False
-    df, f_lines, _ = f._int_view
-    dg, _, probes = g._int_view
-    return all((a * q + s * p) * dg <= v * df for a, s in f_lines for p, q, v in probes)
+    arc = g.arc
+    probes = [(1, 0, arc[0][0]), (0, 1, arc[-1][1])]
+    probes += [(b1 - b0, a0 - a1, a0 * b1 - a1 * b0) for (a0, b0), (a1, b1) in zip(arc, arc[1:])]
+    sf, sg = f.scale, g.scale
+    return all((a * u + b * w) * sg <= v * sf for a, b in f.arc for u, w, v in probes)
 
 
 def phi(p: SymPolygon) -> Envelope:
     if p.field.d != 1:
         raise WrongField("the functional dual is built for d=1")
     if p.tag == EMPTY:
-        return Envelope(None)
+        return Envelope.bottom()
     if p.tag == ZERO:
         return Envelope.zero()
-    return Envelope(_canonical([(v.x, v.y) for v in p.orbit_points()]))
+    return _canonical(p.hull, p.scale)
 
 
 def phi_inv(f: Envelope) -> SymPolygon:
-    f1 = field(1)
-    if f.lines is None:
-        return SymPolygon.empty(f1)
-    if f.lines == ((Fraction(0), Fraction(0)),):
-        return SymPolygon.zero(f1)
-    return SymPolygon.from_points(f1, [PlanePoint(a, b) for a, b in f.lines])
+    return SymPolygon.from_grid(field(1), f.arc, f.scale)

@@ -1,6 +1,7 @@
 """Exception hierarchy.
 
-DomainError subclasses map to CLI exit code 1, MalformedInput to exit code 2.
+DomainError subclasses map to CLI exit code 1, MalformedInput to exit code 2,
+and CheckFailed, a broken internal invariant, to exit code 3.
 """
 
 
@@ -56,3 +57,13 @@ class InvalidSection(DomainError):
 
 class MalformedInput(TropigonError):
     pass
+
+
+class CheckFailed(TropigonError):
+    pass
+
+
+def check(cond, msg=None) -> None:
+    """Raise CheckFailed(msg) unless cond: an `assert` that `python -O` keeps."""
+    if not cond:
+        raise CheckFailed() if msg is None else CheckFailed(msg)

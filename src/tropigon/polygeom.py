@@ -104,19 +104,22 @@ class SymPolygon:
 
     @staticmethod
     def from_points(f: Field, points) -> SymPolygon:
-        pts = [p for p in points]
-        if not pts:
-            return SymPolygon.empty(f)
-        scale = 1
-        for p in pts:
-            scale = math.lcm(scale, p.x.denominator, p.y.denominator)
-        grid = [(int(p.x * scale), int(p.y * scale)) for p in pts]
-        orbit, scale = _orbit_expand(f, grid, scale)
-        return SymPolygon._from_grid(f, orbit, scale)
+        pts = list(points)
+        scale = math.lcm(1, *(c.denominator for p in pts for c in (p.x, p.y)))
+        return SymPolygon.from_grid(f, [(int(p.x * scale), int(p.y * scale)) for p in pts], scale)
 
     @staticmethod
-    def _from_grid(f: Field, grid, scale: int) -> SymPolygon:
-        hull = _hull(grid)
+    def from_grid(f: Field, grid, scale: int) -> SymPolygon:
+        """The hull of the unit orbits of the points (x/scale, y/scale), (x, y) in grid."""
+        if not grid:
+            return SymPolygon.empty(f)
+        orbit, scale = _orbit_expand(f, grid, scale)
+        return SymPolygon._from_orbit(f, orbit, scale)
+
+    @staticmethod
+    def _from_orbit(f: Field, orbit, scale: int) -> SymPolygon:
+        # orbit is closed under the units already
+        hull = _hull(orbit)
         if not hull or all(p == (0, 0) for p in hull):
             return SymPolygon.zero(f)
         if len(hull) < 3:
@@ -187,7 +190,7 @@ def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     s = math.lcm(a.scale, b.scale)
     ma, mb = s // a.scale, s // b.scale
     pts = [(x * ma, y * ma) for x, y in a.hull] + [(x * mb, y * mb) for x, y in b.hull]
-    return SymPolygon._from_grid(a.field, pts, s)
+    return SymPolygon._from_orbit(a.field, pts, s)
 
 
 def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
@@ -201,7 +204,7 @@ def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     s = math.lcm(a.scale, b.scale)
     ma, mb = s // a.scale, s // b.scale
     pts = {(x1 * ma + x2 * mb, y1 * ma + y2 * mb) for x1, y1 in a.hull for x2, y2 in b.hull}
-    return SymPolygon._from_grid(a.field, pts, s)
+    return SymPolygon._from_orbit(a.field, pts, s)
 
 
 def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
@@ -219,7 +222,7 @@ def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
     else:
         u, v, w = 2 * n.a + n.b, n.b, 2 * mu.den
     pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
-    return SymPolygon._from_grid(f, pts, a.scale * w)
+    return SymPolygon._from_orbit(f, pts, a.scale * w)
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ class GeneratorDecomposition:
         return acc
 
 
-def _enumerate_norm_le(f: Field, bound: int):
+def enumerate_norm_le(f: Field, bound: int):
     if bound < 1:
         return
     if f.case == 1:
@@ -310,7 +313,7 @@ def membership_in_generated(
     # breadth-first closure over Minkowski sums of admissible generators
     bound = math.ceil(scaled.max_abs2())
     cand: list[tuple[QuadInt, SymPolygon]] = []
-    for m in _enumerate_norm_le(f, bound):
+    for m in enumerate_norm_le(f, bound):
         if not m.in_sector():
             continue
         q = scale_act(QuadRat(m, 1), base)

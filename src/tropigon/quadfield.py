@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import BothZero, DivByZero, FieldMismatch, ZeroInput
+from .errors import BothZero, CheckFailed, DivByZero, FieldMismatch, ZeroInput, check
 
 HEEGNER_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
@@ -170,7 +170,7 @@ def canonical_unit_rep(x: QuadInt) -> QuadInt:
         y = u * x
         if y.in_sector():
             return y
-    raise AssertionError("no unit image in sector")  # unreachable
+    raise CheckFailed("no unit image in sector")  # unreachable
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
         rows[start], rows[piv1] = rows[piv1], rows[start]
         coeffs[start], coeffs[piv1] = coeffs[piv1], coeffs[start]
     basis = [(rows[i], coeffs[i]) for i in range(len(rows)) if rows[i] != (0, 0)][:2]
-    assert len(basis) == 2, "ideal lattice must have rank 2"
+    check(len(basis) == 2, "ideal lattice must have rank 2")
 
     (u, cu), (v, cv) = basis
     # Lagrange-Gauss under the norm form (the inner product may be half-integral)
@@ -396,6 +396,6 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
     g = canonical_unit_rep(short)
     uc = div_exact(g, short).num
     s, t = uc * cu[0], uc * cu[1]
-    assert s * x + t * y == g
-    assert divides(g, x) and divides(g, y)
+    check(s * x + t * y == g)
+    check(divides(g, x) and divides(g, y))
     return g, s, t

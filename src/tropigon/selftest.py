@@ -29,14 +29,14 @@ from .adelic import (
     valuation,
 )
 from .envelope import Envelope, phi, phi_inv, tmax, tplus
-from .errors import NotProper
+from .errors import CheckFailed, NotProper, check
 from .polygeom import (
     EMPTY,
     PROPER,
     ZERO,
     SymPolygon,
-    _enumerate_norm_le,
     dk,
+    enumerate_norm_le,
     global_sections_check,
     hull_union,
     membership_in_generated,
@@ -104,17 +104,17 @@ def _c01_semiring(rng: random.Random) -> dict:
             a = random_polygon(rng, f)
             b = random_polygon(rng, f)
             c = random_polygon(rng, f)
-            assert hull_union(a, b) == hull_union(b, a)
-            assert hull_union(hull_union(a, b), c) == hull_union(a, hull_union(b, c))
-            assert hull_union(a, a) == a
-            assert minkowski_sum(a, b) == minkowski_sum(b, a)
-            assert minkowski_sum(minkowski_sum(a, b), c) == minkowski_sum(a, minkowski_sum(b, c))
-            assert minkowski_sum(a, hull_union(b, c)) == hull_union(
+            check(hull_union(a, b) == hull_union(b, a))
+            check(hull_union(hull_union(a, b), c) == hull_union(a, hull_union(b, c)))
+            check(hull_union(a, a) == a)
+            check(minkowski_sum(a, b) == minkowski_sum(b, a))
+            check(minkowski_sum(minkowski_sum(a, b), c) == minkowski_sum(a, minkowski_sum(b, c)))
+            check(minkowski_sum(a, hull_union(b, c)) == hull_union(
                 minkowski_sum(a, b), minkowski_sum(a, c)
-            )
-            assert hull_union(a, empty) == a
-            assert minkowski_sum(a, zero) == a
-            assert minkowski_sum(a, empty) == empty
+            ))
+            check(hull_union(a, empty) == a)
+            check(minkowski_sum(a, zero) == a)
+            check(minkowski_sum(a, empty) == empty)
             checked += 1
     return {"fields": len(HEEGNER_DS), "triples": checked}
 
@@ -126,8 +126,8 @@ def _c02_membership_dichotomy(rng: random.Random) -> dict:
         for _ in range(200):
             p = random_proper_polygon(rng, f)
             ok, dec = membership_in_generated(p)
-            assert ok, f"integral polygon rejected over d={d}: {p}"
-            assert dec is not None and dec.replay(f) == p
+            check(ok, f"integral polygon rejected over d={d}: {p}")
+            check(dec is not None and dec.replay(f) == p)
             accepted += 1
     rejected = []
     for d in (2, 7, 11, 19, 43, 67, 163):
@@ -135,7 +135,7 @@ def _c02_membership_dichotomy(rng: random.Random) -> dict:
         long_vertex = QuadInt(f, 3, 0) if d == 2 else QuadInt(f, 2, 0)
         p = SymPolygon.from_points(f, [long_vertex.plane(), f.omega.plane()])
         ok, dec = membership_in_generated(p)
-        assert ok is False and dec is None, f"counterexample accepted over d={d}"
+        check(ok is False and dec is None, f"counterexample accepted over d={d}")
         rejected.append(d)
     return {"accepted": accepted, "rejected_fields": rejected}
 
@@ -147,10 +147,10 @@ def _c03_duality(rng: random.Random) -> dict:
         a = random_polygon(rng, f)
         b = random_polygon(rng, f)
         fa, fb = phi(a), phi(b)
-        assert phi(hull_union(a, b)) == tmax(fa, fb)
-        assert phi(minkowski_sum(a, b)) == tplus(fa, fb)
-        assert phi_inv(fa) == a
-        assert phi(phi_inv(fa)) == fa
+        check(phi(hull_union(a, b)) == tmax(fa, fb))
+        check(phi(minkowski_sum(a, b)) == tplus(fa, fb))
+        check(phi_inv(fa) == a)
+        check(phi(phi_inv(fa)) == fa)
     return {"pairs": pairs}
 
 
@@ -166,12 +166,12 @@ def _c04_stalks(rng: random.Random) -> dict:
         p = random_polygon(rng, f, span=2)
         ok_ring, dec_ring = membership_in_generated(p)
         element = stalk_scale(k, p)
-        assert element.polygon == scale_act(k, p)
+        check(element.polygon == scale_act(k, p))
         ok_stalk, dec_stalk = element.member()
-        assert ok_stalk == ok_ring
+        check(ok_stalk == ok_ring)
         if ok_stalk:
-            assert dec_stalk.replay(f) == element.polygon
-            assert dec_ring.replay(f) == p
+            check(dec_stalk.replay(f) == element.polygon)
+            check(dec_ring.replay(f) == p)
         checked += 1
     return {"scalars": checked}
 
@@ -185,7 +185,7 @@ def _c05_global_sections(rng: random.Random) -> dict:
         corpus.extend([SymPolygon.empty(f), SymPolygon.zero(f)])
         for p in corpus:
             got = global_sections_check(p)
-            assert got == (p.tag in (EMPTY, ZERO))
+            check(got == (p.tag in (EMPTY, ZERO)))
             passing += got
     return {"per_field": per_field, "degenerate_passing": passing}
 
@@ -203,7 +203,7 @@ def _c06_primes(rng: random.Random) -> dict:
     for d in HEEGNER_DS:
         f = field(d)
         disc = f.discriminant
-        for p in adelic._sieve(bound):
+        for p in adelic.sieve(bound):
             above = primes_above(f, p)
             if disc % p == 0:
                 expect = RAMIFIED
@@ -212,21 +212,21 @@ def _c06_primes(rng: random.Random) -> dict:
             else:
                 expect = SPLIT if _legendre(disc, p) == 1 else INERT
             kinds = {q.kind for q in above}
-            assert kinds == {expect}, (d, p, kinds, expect)
+            check(kinds == {expect}, (d, p, kinds, expect))
             prod = 1
             for q in above:
-                assert q.gen.norm() == p**q.residue_degree
+                check(q.gen.norm() == p**q.residue_degree)
                 prod *= q.gen.norm() ** q.ram_index
-            assert prod == p * p, (d, p)
+            check(prod == p * p, (d, p))
             if expect == SPLIT:
                 first, second = above
-                assert canonical_unit_rep(first.gen.conj()) == second.gen
+                check(canonical_unit_rep(first.gen.conj()) == second.gen)
         counts = ideal_count_upto(f, count_bound)
         brute = [0] * (count_bound + 1)
-        for w in _enumerate_norm_le(f, count_bound):
+        for w in enumerate_norm_le(f, count_bound):
             if w.in_sector():
                 brute[w.norm()] += 1
-        assert counts[1:] == brute[1:], f"ideal count mismatch over d={d}"
+        check(counts[1:] == brute[1:], f"ideal count mismatch over d={d}")
     return {"fields": len(HEEGNER_DS), "prime_bound": bound, "count_bound": count_bound}
 
 
@@ -255,29 +255,29 @@ def _c07_adeles(rng: random.Random) -> dict:
         for _ in range(per_field):
             a = _random_vector(rng, f)
             h = module_from_adele(a)
-            assert adele_from_module(h) == a
-            assert module_from_adele(adele_from_module(h)) == h
+            check(adele_from_module(h) == a)
+            check(module_from_adele(adele_from_module(h)) == h)
             q = _random_quadrat(rng, f)
             support = set(primes_upto(f, 40))
-            support.update(adelic._support_primes(q))
-            support.update(adelic._support_primes(delta))
+            support.update(adelic.support_primes(q))
+            support.update(adelic.support_primes(delta))
             support.update(p for p, _ in a.exps)
             direct = all(
                 valuation(q, p) >= valuation(delta, p) - a.exp_of(p)
                 for p in support
                 if p not in set(a.free)
             )
-            assert h.member(q) == direct
+            check(h.member(q) == direct)
             b = _random_vector(rng, f)
             eq, k = iso_class_equal(a, b)
-            assert eq == (a.free == b.free)
+            check(eq == (a.free == b.free))
             if eq:
-                check = set(p for p, _ in a.exps) | set(p for p, _ in b.exps)
-                check.update(adelic._support_primes(k))
-                for p in check:
+                places = set(p for p, _ in a.exps) | set(p for p, _ in b.exps)
+                places.update(adelic.support_primes(k))
+                for p in places:
                     if p in set(a.free):
                         continue
-                    assert valuation(k, p) == b.exp_of(p) - a.exp_of(p)
+                    check(valuation(k, p) == b.exp_of(p) - a.exp_of(p))
     return {"fields": len(HEEGNER_DS), "vectors_per_field": per_field}
 
 
@@ -287,12 +287,12 @@ def _c08_fibers(rng: random.Random) -> dict:
     for x in g.elements:
         for y in g.elements:
             table.append((x, y, g.add(x, y), g.mul(x, y)))
-    assert g.add("empty", "empty") == "empty"
-    assert g.add("empty", "zero") == "zero" == g.add("zero", "empty")
-    assert g.add("zero", "zero") == "zero"
-    assert g.mul("zero", "zero") == "zero"
-    assert g.mul("empty", "zero") == "empty" == g.mul("zero", "empty")
-    assert g.mul("empty", "empty") == "empty"
+    check(g.add("empty", "empty") == "empty")
+    check(g.add("empty", "zero") == "zero" == g.add("zero", "empty"))
+    check(g.add("zero", "zero") == "zero")
+    check(g.mul("zero", "zero") == "zero")
+    check(g.mul("empty", "zero") == "empty" == g.mul("zero", "empty"))
+    check(g.mul("empty", "empty") == "empty")
 
     f = field(1)
     (p2,) = primes_above(f, 2)
@@ -302,10 +302,10 @@ def _c08_fibers(rng: random.Random) -> dict:
     outside = scale_act(one / 3, dk(f))
     ok_in, level = fiber.member(inside)
     ok_out, _ = fiber.member(outside)
-    assert ok_in is True and level == 1
-    assert ok_out is False
-    assert fiber.module.member(one / QuadInt(f, 1, 1))
-    assert not fiber.module.member(one / 3)
+    check(ok_in is True and level == 1)
+    check(ok_out is False)
+    check(fiber.module.member(one / QuadInt(f, 1, 1)))
+    check(not fiber.module.member(one / 3))
     return {"table_size": len(table), "localized_prime": 2}
 
 
@@ -356,17 +356,17 @@ def _c09_tensor_sandwich(rng: random.Random) -> dict:
         v = eval_separator(s, t)
         verdicts[v] += 1
         if s == t:
-            assert v == POSSIBLY_EQUAL, "normalize-equal pair separated"
+            check(v == POSSIBLY_EQUAL, "normalize-equal pair separated")
 
         raw = _noisy_variant(rng, s)
-        assert normalize(raw) == s, "undoable rewrite changed the canonical form"
+        check(normalize(raw) == s, "undoable rewrite changed the canonical form")
         n = normalize(_free_noise(rng, s))
-        assert normalize(n) == n, "normalize not idempotent"
+        check(normalize(n) == n, "normalize not idempotent")
         if not s.is_bottom():
             # free noise may land in a different normal form of the same
             # function; the separator decides function equality exactly
-            assert eval_separator(n, s) == POSSIBLY_EQUAL, "identity separated"
-            assert eval_separator(raw, s) == POSSIBLY_EQUAL
+            check(eval_separator(n, s) == POSSIBLY_EQUAL, "identity separated")
+            check(eval_separator(raw, s) == POSSIBLY_EQUAL)
 
         e1 = tensorlab.random_envelope(rng)
         e2 = tensorlab.random_envelope(rng)
@@ -375,14 +375,14 @@ def _c09_tensor_sandwich(rng: random.Random) -> dict:
         one = FormalTensor.make([(e1, f1)])
         # bilinearity in each slot, idempotence, bottom absorption
         merged = tensor_add(one, FormalTensor.make([(e2, f1)]))
-        assert merged == FormalTensor.make([(tmax(e1, e2), f1)])
-        assert eval_separator(merged, FormalTensor.make([(tmax(e1, e2), f1)])) == POSSIBLY_EQUAL
+        check(merged == FormalTensor.make([(tmax(e1, e2), f1)]))
+        check(eval_separator(merged, FormalTensor.make([(tmax(e1, e2), f1)])) == POSSIBLY_EQUAL)
         second = tensor_add(one, FormalTensor.make([(e1, g1)]))
-        assert second == FormalTensor.make([(e1, tmax(f1, g1))])
-        assert eval_separator(second, FormalTensor.make([(e1, tmax(f1, g1))])) == POSSIBLY_EQUAL
-        assert tensor_add(one, one) == one
-        assert FormalTensor.make([(e1, Envelope.bottom())]) == FormalTensor.bottom()
-        assert tensor_mul(one, FormalTensor.bottom()) == FormalTensor.bottom()
+        check(second == FormalTensor.make([(e1, tmax(f1, g1))]))
+        check(eval_separator(second, FormalTensor.make([(e1, tmax(f1, g1))])) == POSSIBLY_EQUAL)
+        check(tensor_add(one, one) == one)
+        check(FormalTensor.make([(e1, Envelope.bottom())]) == FormalTensor.bottom())
+        check(tensor_mul(one, FormalTensor.bottom()) == FormalTensor.bottom())
     return {"rounds": rounds, "separated": verdicts[DISTINCT], "unseparated": verdicts[POSSIBLY_EQUAL]}
 
 
@@ -392,17 +392,17 @@ def _c10_reduced(rng: random.Random) -> dict:
         a, b, c, d, e = (random_tensor(rng) for _ in range(5))
         x, y, w = cancellation_instance(a, b, c, d, e)
         status, got = reduced_equal(x, y, hint=w)
-        assert status == EQUAL, "proof witness failed to certify"
-        assert got is not None
+        check(status == EQUAL, "proof witness failed to certify")
+        check(got is not None)
     additive = 200
     for _ in range(additive):
         s = random_tensor(rng)
         t = random_tensor(rng)
         lhs = gamma(tensor_add(s, t))
         rhs = reduced_add(gamma(s), gamma(t))
-        assert lhs.a == rhs.a and lhs.b == rhs.b
+        check(lhs.a == rhs.a and lhs.b == rhs.b)
         status, _ = reduced_equal(lhs, rhs)
-        assert status == EQUAL
+        check(status == EQUAL)
     return {"cancellations": instances, "additivity_pairs": additive}
 
 
@@ -430,7 +430,7 @@ def run(seed: int, out=None, only: set[str] | None = None) -> bool:
         try:
             stats = fn(rng)
             ok = True
-        except AssertionError as exc:
+        except CheckFailed as exc:
             stats = {"failure": str(exc) or "assertion failed"}
             ok = False
         line = {"group": name, "ok": ok, "seed": seed}

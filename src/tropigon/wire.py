@@ -49,12 +49,12 @@ def _as_int(v, what: str) -> int:
     return v
 
 
-def _as_list(v, what: str) -> list:
+def as_list(v, what: str) -> list:
     _expect(isinstance(v, list), f"{what} must be a list")
     return v
 
 
-def _as_dict(v, what: str) -> dict:
+def as_dict(v, what: str) -> dict:
     _expect(isinstance(v, dict), f"{what} must be an object")
     return v
 
@@ -70,7 +70,7 @@ def quadint_to_json(x: QuadInt) -> list[int]:
 
 
 def quadint_from_json(f: Field, data) -> QuadInt:
-    v = _as_list(data, "ring element")
+    v = as_list(data, "ring element")
     _expect(len(v) == 2, "ring element must be [a, b]")
     return QuadInt(f, _as_int(v[0], "coefficient"), _as_int(v[1], "coefficient"))
 
@@ -82,7 +82,7 @@ def quadrat_to_json(q: QuadRat) -> dict:
 def quadrat_from_json(f: Field, data) -> QuadRat:
     if isinstance(data, list):  # integral shorthand
         return QuadRat(quadint_from_json(f, data), 1)
-    v = _as_dict(data, "field element")
+    v = as_dict(data, "field element")
     _expect(set(v) == {"num", "den"}, 'field element must be {"num": [a,b], "den": n}')
     den = _as_int(v["den"], "den")
     _expect(den != 0, "den must be nonzero")
@@ -94,7 +94,7 @@ def fraction_to_json(x: Fraction) -> list[int]:
 
 
 def fraction_from_json(data) -> Fraction:
-    v = _as_list(data, "rational")
+    v = as_list(data, "rational")
     _expect(len(v) == 2, "rational must be [num, den]")
     den = _as_int(v[1], "denominator")
     _expect(den != 0, "rational with zero denominator")
@@ -109,7 +109,7 @@ def polygon_to_json(p: SymPolygon) -> dict:
 
 
 def polygon_from_json(data, expect_field: Field | None = None) -> SymPolygon:
-    v = _as_dict(data, "polygon")
+    v = as_dict(data, "polygon")
     _expect({"field", "tag"} <= set(v), 'polygon needs "field" and "tag"')
     f = field_from_json(v["field"])
     if expect_field is not None:
@@ -121,8 +121,8 @@ def polygon_from_json(data, expect_field: Field | None = None) -> SymPolygon:
         return SymPolygon.zero(f)
     _expect(tag == PROPER, f"unknown polygon tag {tag!r}")
     pts = []
-    for entry in _as_list(v.get("sector", []), "sector"):
-        e = _as_list(entry, "vertex")
+    for entry in as_list(v.get("sector", []), "sector"):
+        e = as_list(entry, "vertex")
         _expect(len(e) == 4, "vertex must be [xn, xd, yn, yd]")
         xd, yd = _as_int(e[1], "xd"), _as_int(e[3], "yd")
         _expect(xd != 0 and yd != 0, "vertex with zero denominator")
@@ -142,12 +142,12 @@ def envelope_to_json(e: Envelope) -> dict:
 
 
 def envelope_from_json(data) -> Envelope:
-    v = _as_dict(data, "envelope")
+    v = as_dict(data, "envelope")
     if v.get("tag") == "bottom":
         return Envelope.bottom()
     lines = []
-    for entry in _as_list(v.get("lines"), "lines"):
-        e = _as_list(entry, "line")
+    for entry in as_list(v.get("lines"), "lines"):
+        e = as_list(entry, "line")
         _expect(len(e) == 4, "line must be [an, ad, bn, bd]")
         ad, bd = _as_int(e[1], "ad"), _as_int(e[3], "bd")
         _expect(ad != 0 and bd != 0, "line with zero denominator")
@@ -161,7 +161,7 @@ def prime_to_json(p: PrimeIdeal) -> dict:
 
 
 def prime_from_json(f: Field, data) -> PrimeIdeal:
-    v = _as_dict(data, "prime")
+    v = as_dict(data, "prime")
     _expect({"p", "kind", "gen"} <= set(v), 'prime needs "p", "kind", "gen"')
     p = _as_int(v["p"], "p")
     _expect(p >= 2, "p must be >= 2")
@@ -186,13 +186,13 @@ def vector_to_json(a: ValuationVector) -> dict:
 
 
 def vector_from_json(f: Field, data) -> ValuationVector:
-    v = _as_dict(data, "valuation vector")
+    v = as_dict(data, "valuation vector")
     exps = []
-    for entry in _as_list(v.get("exps", []), "exps"):
-        e = _as_list(entry, "exponent entry")
+    for entry in as_list(v.get("exps", []), "exps"):
+        e = as_list(entry, "exponent entry")
         _expect(len(e) == 2, "exponent entry must be [prime, e]")
         exps.append((prime_from_json(f, e[0]), _as_int(e[1], "exponent")))
-    free = [prime_from_json(f, entry) for entry in _as_list(v.get("free", []), "free")]
+    free = [prime_from_json(f, entry) for entry in as_list(v.get("free", []), "free")]
     return ValuationVector.make(f, exps, free)
 
 
@@ -206,13 +206,13 @@ def module_to_json(h: ModuleHandle) -> dict:
 
 
 def module_from_json(f: Field, data) -> ModuleHandle:
-    v = _as_dict(data, "module")
+    v = as_dict(data, "module")
     kind = v.get("kind")
     if kind == ZERO_MODULE:
         return ModuleHandle.zero(f)
     _expect(kind in (PRINCIPAL, LOCALIZED), f"unknown module kind {kind!r}")
     gen = quadrat_from_json(f, v.get("gen"))
-    free = [prime_from_json(f, entry) for entry in _as_list(v.get("free", []), "free")]
+    free = [prime_from_json(f, entry) for entry in as_list(v.get("free", []), "free")]
     _expect(bool(free) == (kind == LOCALIZED), "free set must match the module kind")
     return ModuleHandle.make(f, gen, free)
 
@@ -225,11 +225,11 @@ def section_to_json(s: FiniteSection) -> dict:
 
 
 def section_from_json(f: Field, data) -> FiniteSection:
-    v = _as_dict(data, "section")
+    v = as_dict(data, "section")
     bound = _as_int(v.get("bound", 200), "bound")
     values = []
-    for entry in _as_list(v.get("values", []), "values"):
-        e = _as_list(entry, "section entry")
+    for entry in as_list(v.get("values", []), "values"):
+        e = as_list(entry, "section entry")
         _expect(len(e) == 2, "section entry must be [prime, value]")
         values.append((prime_from_json(f, e[0]), quadrat_from_json(f, e[1])))
     return FiniteSection.make(f, bound, values)
@@ -240,10 +240,10 @@ def tensor_to_json(t: FormalTensor) -> dict:
 
 
 def tensor_from_json(data) -> FormalTensor:
-    v = _as_dict(data, "tensor")
+    v = as_dict(data, "tensor")
     pairs = []
-    for entry in _as_list(v.get("pairs", []), "pairs"):
-        e = _as_list(entry, "tensor pair")
+    for entry in as_list(v.get("pairs", []), "pairs"):
+        e = as_list(entry, "tensor pair")
         _expect(len(e) == 2, "tensor pair must be [envelope, envelope]")
         pairs.append((envelope_from_json(e[0]), envelope_from_json(e[1])))
     return FormalTensor.make(pairs)

@@ -46,7 +46,7 @@ from tropigon.errors import (
     ZeroInput,
     ZeroModule,
 )
-from tropigon.polygeom import _enumerate_norm_le
+from tropigon.polygeom import enumerate_norm_le
 
 F1 = field(1)
 
@@ -439,7 +439,7 @@ def test_ideal_count_matches_sector_enumeration(d):
     bound = 60
     counts = ideal_count_upto(f, bound)
     brute = [0] * (bound + 1)
-    for w in _enumerate_norm_le(f, bound):
+    for w in enumerate_norm_le(f, bound):
         if w.in_sector():
             brute[w.norm()] += 1
     assert counts == brute

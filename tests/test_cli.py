@@ -7,6 +7,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
+
 CMD = [sys.executable, "-m", "tropigon.cli"]
 
 
@@ -192,6 +194,50 @@ def test_primes_frozen_gaussian():
 def test_primes_bound_validation():
     code, out, _ = run(["primes", "--field", "1", "--bound", "1"])
     assert code == 2
+
+
+CAPPED = [
+    (["primes", "--field", "1", "--bound"], MAX_PRIME_BOUND),
+    (["tensor", "experiment", "--bound"], MAX_EXPERIMENT_SAMPLES),
+    (["tensor", "experiment", "--bound", "2", "--witness-bound"], MAX_WITNESS_BOUND),
+    (["tensor", "reduce", "--witness-bound"], MAX_WITNESS_BOUND),
+]
+
+
+@pytest.mark.parametrize("args, cap", CAPPED)
+def test_cap_plus_one_is_malformed(args, cap):
+    code, (line,) = run_json(args + [str(cap + 1)], {})
+    assert code == 2
+    assert line["kind"] == "malformed-input" and str(cap) in line["error"]
+
+
+def test_primes_at_the_cap():
+    code, (out,) = run_json(["primes", "--field", "1", "--bound", str(MAX_PRIME_BOUND)])
+    assert code == 0
+    assert out["bound"] == MAX_PRIME_BOUND and out["primes"][-1]["p"] == 9973
+
+
+def test_experiment_at_the_caps():
+    code, lines = run_json(["tensor", "experiment", "--bound", "2", "--witness-bound", str(MAX_WITNESS_BOUND)])
+    assert code == 0 and len(lines) == 2
+    # the sample cap reaches the experiment unchanged; a stub stands in for its run time
+    script = (
+        "import sys\n"
+        "from tropigon import cli\n"
+        "seen = []\n"
+        "cli.cancellativity_experiment = lambda n, witness_bound, seed: seen.append(n) or []\n"
+        f"code = cli.main(['tensor', 'experiment', '--bound', '{MAX_EXPERIMENT_SAMPLES}'])\n"
+        "print(seen)\n"
+        "sys.exit(code)\n"
+    )
+    p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert p.returncode == 0 and p.stdout == f"[{MAX_EXPERIMENT_SAMPLES}]\n"
+
+
+def test_reduce_at_the_witness_cap():
+    x = {"a": {"pairs": [[ENV_SQ, ENV_SQ]]}, "b": {"pairs": [[ENV_SQ, ENV_SQ]]}}
+    code, (out,) = run_json(["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)], {"x": x, "y": x})
+    assert code == 0 and out["status"] == "equal"
 
 
 # ---------------------------------------------------------------------- adele
@@ -383,6 +429,18 @@ def test_render_degenerate_polygons_draw_blank_canvas():
 
 
 # ------------------------------------------------------------------- selftest
+
+
+def test_sabotaged_selftest_fails_under_dash_O():
+    # the checks are not asserts, so python -O keeps them
+    script = (
+        "from tropigon import selftest\n"
+        "selftest.hull_union = lambda a, b: a\n"
+        "selftest.run(42, only={'c01'})\n"
+    )
+    p = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    (line,) = p.stdout.splitlines()
+    assert json.loads(line) == {"failure": "assertion failed", "group": "c01", "ok": False, "seed": 42}
 
 
 def test_selftest_help():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tropigon import (
     Envelope,
+    PlanePoint,
     QuadInt,
     QuadRat,
     SymPolygon,
@@ -23,7 +24,7 @@ from tropigon import (
     tmax,
     tplus,
 )
-from tropigon.envelope import NEG_INF
+from tropigon.envelope import NEG_INF, _canonical
 from tropigon.errors import NotProper, OutOfDomain, WrongField
 
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -143,7 +144,7 @@ def _leq_oracle(f, g):
         return True
     if g.is_bottom():
         return False
-    return Envelope(_canonical_oracle(f.lines + g.lines)) == g
+    return _canonical_oracle(f.lines + g.lines) == g.lines
 
 
 def _through(t, v, slope):
@@ -286,3 +287,78 @@ def test_phi_is_the_support_function(p):
     for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
         want = max((1 - t) * pt.x + t * pt.y for pt in p.orbit_points())
         assert eval_at(e, t) == want
+
+
+@st.composite
+def rational_gaussian_polygons(draw):
+    """Gaussian polygons scaled by 1/n, so their vertices have denominators."""
+    f = field(1)
+    return scale_act(QuadRat.make(f.one, draw(st.integers(1, 6))), draw(gaussian_polygons()))
+
+
+def _phi_oracle(p):
+    """The former phi: the canonical form of the orbit points as Fractions."""
+    if p.tag == "empty":
+        return None
+    if p.tag == "zero":
+        return ((Fraction(0), Fraction(0)),)
+    return _canonical_oracle([(v.x, v.y) for v in p.orbit_points()])
+
+
+def _phi_inv_oracle(e):
+    """The former phi_inv: the polygon spanned by the lines as plane points."""
+    f = field(1)
+    if e.is_bottom():
+        return SymPolygon.empty(f)
+    if e.lines == ((Fraction(0), Fraction(0)),):
+        return SymPolygon.zero(f)
+    return SymPolygon.from_points(f, [PlanePoint(a, b) for a, b in e.lines])
+
+
+def _tplus_oracle(f, g):
+    """The former tplus: the canonical form of all n*m sums as Fractions."""
+    if f.is_bottom() or g.is_bottom():
+        return None
+    return _canonical_oracle({(a + c, b + d) for a, b in f.lines for c, d in g.lines})
+
+
+@given(tie_heavy_envelopes(), tie_heavy_envelopes())
+def test_tplus_matches_the_fraction_sums(f, g):
+    assert tplus(f, g).lines == _tplus_oracle(f, g)
+
+
+@given(rational_gaussian_polygons())
+def test_phi_matches_the_fraction_orbit_points(p):
+    e = phi(p)
+    assert e.lines == _phi_oracle(p)
+    assert phi_inv(e) == _phi_inv_oracle(e)
+
+
+# ------------------------------------------------------ one stored form
+
+
+def _same(e, f):
+    assert (e.scale, e.arc) == (f.scale, f.arc)
+    assert e == f and hash(e) == hash(f)
+
+
+@given(tie_heavy_lines(), st.integers(2, 12))
+@example([(Fraction(0), Fraction(0))], 5)  # ZERO over a needless denominator
+def test_routes_to_one_envelope_agree(lines, k):
+    e = Envelope.of(lines)
+    # dominated copies with a fresh denominator raise the common one; the
+    # canonical form drops them and reduces it again
+    lowered = [(a - Fraction(1, k), b - Fraction(1, k)) for a, b in lines]
+    _same(Envelope.of(lines + lowered + lines), e)
+    _same(_canonical([(x * k, y * k) for x, y in e.arc], e.scale * k), e)
+    _same(Envelope.of(e.lines), e)
+    _same(tmax(e, e), e)
+    _same(tplus(e, Envelope.zero()), e)
+
+
+@given(rational_gaussian_polygons())
+def test_phi_round_trip_keeps_the_stored_form(p):
+    e = phi(p)
+    _same(phi(phi_inv(e)), e)
+    if not e.is_bottom():
+        _same(Envelope.of(e.lines), e)

@@ -220,13 +220,13 @@ def test_gcd_bezout_and_divisibility(xy):
 def test_gcd_is_a_greatest_common_divisor_small():
     # brute-force maximality check on small inputs: every common divisor
     # divides g (class number 1 makes the gcd an honest single element)
-    from tropigon.polygeom import _enumerate_norm_le
+    from tropigon.polygeom import enumerate_norm_le
 
     for d in HEEGNER_DS:
         f = field(d)
         x, y = QuadInt(f, 4, 2), QuadInt(f, 6, 0)
         g, _, _ = gcd(x, y)
-        for w in _enumerate_norm_le(f, min(x.norm(), y.norm())):
+        for w in enumerate_norm_le(f, min(x.norm(), y.norm())):
             if divides(w, x) and divides(w, y):
                 assert divides(w, g), (d, w)
 
