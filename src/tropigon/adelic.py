@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     FieldMismatch,
@@ -21,7 +22,7 @@ from .errors import (
     check,
 )
 from .polygeom import PROPER, SymPolygon, membership_in_generated, scale_act
-from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd, plane_to_quadrat
+from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd
 
 SPLIT = "split"
 INERT = "inert"
@@ -54,12 +55,6 @@ class PrimeIdeal:
     def sort_key(self) -> tuple[int, int]:
         return (self.p, self.index)
 
-    def conjugate(self) -> PrimeIdeal:
-        if self.kind != SPLIT:
-            return self
-        pair = primes_above(self.field, self.p)
-        return pair[1 - self.index]
-
     def __repr__(self):
         return f"PrimeIdeal(d={self.field.d}, p={self.p}, {self.kind}, gen=({self.gen.a},{self.gen.b}))"
 
@@ -71,29 +66,18 @@ def _ideal_gen(f: Field, p: int, r: int) -> QuadInt:
     return g
 
 
-_PRIMES_ABOVE: dict[tuple[int, int], tuple[PrimeIdeal, ...]] = {}
-
-
+@lru_cache(maxsize=4096)
 def primes_above(f: Field, p: int) -> tuple[PrimeIdeal, ...]:
-    key = (f.d, p)
-    got = _PRIMES_ABOVE.get(key)
-    if got is not None:
-        return got
     if _prime_factors(p) != [p]:
         raise OutOfDomain(f"{p} is not a rational prime")
     tr, nm = f.trace_omega, f.norm_omega
     roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]
     if not roots:
-        out = (PrimeIdeal(f, p, INERT, canonical_unit_rep(QuadInt(f, p, 0)), 0),)
-    elif f.discriminant % p == 0:
-        out = (PrimeIdeal(f, p, RAMIFIED, _ideal_gen(f, p, roots[0]), 0),)
-    else:
-        # split: the smaller root labels the first conjugate
-        out = tuple(
-            PrimeIdeal(f, p, SPLIT, _ideal_gen(f, p, r), i) for i, r in enumerate(roots)
-        )
-    _PRIMES_ABOVE[key] = out
-    return out
+        return (PrimeIdeal(f, p, INERT, canonical_unit_rep(QuadInt(f, p, 0)), 0),)
+    if f.discriminant % p == 0:
+        return (PrimeIdeal(f, p, RAMIFIED, _ideal_gen(f, p, roots[0]), 0),)
+    # split: the smaller root labels the first conjugate
+    return tuple(PrimeIdeal(f, p, SPLIT, _ideal_gen(f, p, r), i) for i, r in enumerate(roots))
 
 
 def sieve(bound: int) -> list[int]:
@@ -459,8 +443,7 @@ class PrimeFiber:
             return True, 0
         pi = QuadRat(self.prime.gen, 1)
         n0 = 0
-        for v in poly.sector:
-            q = plane_to_quadrat(f, v)
+        for q in poly.sector_elements:
             vp = valuation(q, self.prime)
             if not (q * pi.pow(-vp)).is_integral():
                 return False, None
@@ -493,7 +476,6 @@ def ideal_count_upto(f: Field, bound: int) -> list[int]:
         q = prime.p**prime.residue_degree
         if q > bound:
             continue
-        for n in range(q, bound + 1):
-            if n % q == 0:
-                counts[n] += counts[n // q]
+        for n in range(q, bound + 1, q):
+            counts[n] += counts[n // q]
     return counts

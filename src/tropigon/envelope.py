@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
-from .polygeom import EMPTY, ZERO, SymPolygon, _hull
+from .polygeom import EMPTY, ZERO, SymPolygon, convex_hull
 from .quadfield import field
 
 Line = tuple[Fraction, Fraction]
@@ -37,7 +37,12 @@ NEG_INF = float("-inf")
 
 
 def _canonical(pts, scale: int) -> Envelope:
-    """The envelope of the lines (x/scale, y/scale) for nonempty integer points.
+    """The envelope of the lines (x/scale, y/scale) for nonempty integer points."""
+    return _arc(convex_hull(pts), scale)
+
+
+def _arc(hull, scale: int) -> Envelope:
+    """The envelope of the lines (x/scale, y/scale) at the vertices of a CCW hull.
 
     Its lines are the vertices of the counter-clockwise hull arc from the
     point maximizing (a, b) lexicographically to the one maximizing (b, a):
@@ -45,7 +50,6 @@ def _canonical(pts, scale: int) -> Envelope:
     b - a increase along it.  The hull keeps strict turns only, so a line
     that meets the envelope in a single point is dropped.
     """
-    hull = _hull(pts)
     i = hull.index(max(hull))
     j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
     arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
@@ -151,7 +155,8 @@ def phi(p: SymPolygon) -> Envelope:
         return Envelope.bottom()
     if p.tag == ZERO:
         return Envelope.zero()
-    return _canonical(p.hull, p.scale)
+    # the stored orbit hull is CCW with strict turns already
+    return _arc(p.hull, p.scale)
 
 
 def phi_inv(f: Envelope) -> SymPolygon:

@@ -5,7 +5,9 @@ hull over a denominator `scale`, divided by gcd(scale, *coordinates) so that
 equal polygons compare and hash equal.  Every kernel runs on these integers
 over a common denominator, so everything is exact.  The canonical sector
 vertices (one per unit orbit, argument in [0, 2*pi/sigma), sorted by
-increasing argument) and the orbit points are rational views of the hull.
+increasing argument) are one cyclic run of the hull: `sector` and
+`orbit_points` are rational plane views of the hull, and `sector_elements`
+gives the sector as elements of K.
 """
 
 from __future__ import annotations
@@ -14,17 +16,17 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 from .errors import FieldMismatch, NotLattice, NotProper, WrongField, ZeroInput
-from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd, quadrat_in_ring
+from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd
 
 EMPTY = "empty"
 ZERO = "zero"
 PROPER = "proper"
 
 
-def _hull(points):
+def convex_hull(points):
     # Andrew monotone chain, CCW, strict turns only; may return < 3 points
     pts = sorted(set(points))
     if len(pts) <= 2:
@@ -56,23 +58,6 @@ def _orbit_expand(f: Field, pts, scale):
         pts = [q for x, y in pts for q in ((2 * x, 2 * y), (x - 3 * y, x + y), (-x - 3 * y, x - y))]
         scale *= 2
     return {q for x, y in pts for q in ((x, y), (-x, -y))}, scale
-
-
-def _in_sector_grid(f: Field, x: int, y: int) -> bool:
-    if f.sigma == 4:
-        return x > 0 and y >= 0
-    if f.sigma == 6:
-        return x > 0 and 0 <= y < x
-    return y > 0 or (y == 0 and x > 0)
-
-
-def _arg_sort(points):
-    # all arguments lie in a half-open half-plane, so one cross product orders them
-    def cmp(p, q):
-        c = p[0] * q[1] - p[1] * q[0]
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    return sorted(points, key=cmp_to_key(cmp))
 
 
 def _covers(hull, s: int, pts, t: int) -> bool:
@@ -119,7 +104,7 @@ class SymPolygon:
     @staticmethod
     def _from_orbit(f: Field, orbit, scale: int) -> SymPolygon:
         # orbit is closed under the units already
-        hull = _hull(orbit)
+        hull = convex_hull(orbit)
         if not hull or all(p == (0, 0) for p in hull):
             return SymPolygon.zero(f)
         if len(hull) < 3:
@@ -130,11 +115,27 @@ class SymPolygon:
             hull = [(x // g, y // g) for x, y in hull]
         return SymPolygon(f, PROPER, scale, tuple(hull))
 
+    def _sector_run(self) -> list[tuple[tuple[int, int], QuadInt]]:
+        # The hull runs CCW around the origin and the sector is a cone of angle
+        # at most pi, so the sector vertices are one cyclic run of the hull.
+        # Each comes with its ring coordinates over `scale`.
+        if not self.hull:
+            return []
+        f = self.field
+        run = [((x, y), QuadInt(f, x, y) if f.case == 1 else QuadInt(f, x - y, 2 * y)) for x, y in self.hull]
+        inside = [q.in_sector() for _, q in run]
+        start = next(i for i, ok in enumerate(inside) if ok and not inside[i - 1])
+        return (run[start:] + run[:start])[: sum(inside)]
+
     @cached_property
     def sector(self) -> tuple[PlanePoint, ...]:
         s = self.scale
-        pts = _arg_sort([p for p in self.hull if _in_sector_grid(self.field, *p)])
-        return tuple(PlanePoint(Fraction(x, s), Fraction(y, s)) for x, y in pts)
+        return tuple(PlanePoint(Fraction(x, s), Fraction(y, s)) for (x, y), _ in self._sector_run())
+
+    @cached_property
+    def sector_elements(self) -> tuple[QuadRat, ...]:
+        """The sector vertices as elements of K, in the order of `sector`."""
+        return tuple(QuadRat.make(q, self.scale) for _, q in self._sector_run())
 
     def orbit_points(self) -> list[PlanePoint]:
         s = self.scale
@@ -153,9 +154,6 @@ class SymPolygon:
             return self.tag == ZERO == other.tag
         # a proper polygon is symmetric about the origin, so it holds ZERO
         return _covers(self.hull, self.scale, other.hull, other.scale)
-
-    def max_abs2(self) -> Fraction:
-        return max(p.abs2(self.field.d) for p in self.sector)
 
     def __repr__(self):
         if self.tag != PROPER:
@@ -291,12 +289,9 @@ def membership_in_generated(
     g = QuadRat.make(g0, den)
 
     scaled = scale_act(g.inverse(), p)
-    sector_ints: list[QuadInt] = []
-    for v in scaled.sector:
-        q = quadrat_in_ring(f, v)
-        if q is None:
-            return False, None
-        sector_ints.append(q)
+    if any(q.den != 1 for q in scaled.sector_elements):
+        return False, None
+    sector_ints = [q.num for q in scaled.sector_elements]
 
     base = dk(f)
     covered = SymPolygon.empty(f)
@@ -311,7 +306,7 @@ def membership_in_generated(
         return False, None
 
     # breadth-first closure over Minkowski sums of admissible generators
-    bound = math.ceil(scaled.max_abs2())
+    bound = max(s.norm() for s in sector_ints)
     cand: list[tuple[QuadInt, SymPolygon]] = []
     for m in enumerate_norm_le(f, bound):
         if not m.in_sector():
@@ -354,11 +349,11 @@ def sector_decompose(p: SymPolygon) -> list[QuadInt]:
     if p.tag != PROPER:
         raise NotProper("sector decomposition of a degenerate value")
     out = []
-    for v in p.sector:
-        q = quadrat_in_ring(p.field, v)
-        if q is None:
+    for q in p.sector_elements:
+        if q.den != 1:
+            v = q.plane()
             raise NotLattice(f"vertex ({v.x},{v.y}) not integral")
-        out.append(q)
+        out.append(q.num)
     return out
 
 

@@ -302,21 +302,6 @@ class PlanePoint:
         return self.x == 0 and self.y == 0
 
 
-def plane_to_quadrat(f: Field, p: PlanePoint) -> QuadRat:
-    # invert the embedding: case 1 gives (a, b) = (x, y); case 2 gives b = 2y, a = x - y
-    if f.case == 1:
-        ax, bx = p.x, p.y
-    else:
-        ax, bx = p.x - p.y, 2 * p.y
-    den = math.lcm(ax.denominator, bx.denominator)
-    return QuadRat.make(QuadInt(f, int(ax * den), int(bx * den)), den)
-
-
-def quadrat_in_ring(f: Field, p: PlanePoint) -> QuadInt | None:
-    q = plane_to_quadrat(f, p)
-    return q.num if q.den == 1 else None
-
-
 def _norm_vec(f: Field, v: tuple[int, int]) -> int:
     return QuadInt(f, v[0], v[1]).norm()
 

@@ -89,18 +89,6 @@ def quadrat_from_json(f: Field, data) -> QuadRat:
     return QuadRat.make(quadint_from_json(f, v["num"]), den)
 
 
-def fraction_to_json(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
-def fraction_from_json(data) -> Fraction:
-    v = as_list(data, "rational")
-    _expect(len(v) == 2, "rational must be [num, den]")
-    den = _as_int(v[1], "denominator")
-    _expect(den != 0, "rational with zero denominator")
-    return Fraction(_as_int(v[0], "numerator"), den)
-
-
 def polygon_to_json(p: SymPolygon) -> dict:
     sector = [
         [v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator] for v in p.sector

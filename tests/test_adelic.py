@@ -148,6 +148,12 @@ def test_primes_above_accepts_primes(p):
     assert all(q.p == p for q in primes_above(F1, p))
 
 
+def test_primes_above_cache_is_bounded():
+    # a long-lived process asking for fresh primes must not grow without limit
+    assert primes_above.cache_parameters()["maxsize"] is not None
+    assert primes_above(F1, 1009) is primes_above(F1, 1009)
+
+
 # --------------------------------------------------------------- valuations
 
 

@@ -1,0 +1,20 @@
+"""Module boundaries inside the package."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tropigon"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("tropigon"):
+                continue
+            found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from tropigon import (
     stalk_scale,
 )
 from tropigon.errors import NotProper, WrongField, ZeroInput
-from tropigon.polygeom import _hull, _orbit_expand
+from tropigon.polygeom import _orbit_expand, convex_hull
 from tropigon.quadfield import PlanePoint
 
 fields = st.sampled_from([field(d) for d in HEEGNER_DS])
@@ -146,6 +147,7 @@ def test_degenerate_values_and_laws():
         f = field(d)
         base = dk(f)
         empty, zero = SymPolygon.empty(f), SymPolygon.zero(f)
+        assert empty.sector == empty.sector_elements == zero.sector == zero.sector_elements == ()
         assert hull_union(base, empty) == base
         assert minkowski_sum(base, zero) == base
         assert minkowski_sum(base, empty) == empty
@@ -383,7 +385,7 @@ def _old_grid(p):
         scale = math.lcm(scale, v.x.denominator, v.y.denominator)
     sector = [(int(v.x * scale), int(v.y * scale)) for v in p.sector]
     orbit, scale = _orbit_expand(p.field, sector, scale)
-    return scale, _hull(orbit)
+    return scale, convex_hull(orbit)
 
 
 def _old_contains(p, pt):
@@ -460,3 +462,41 @@ def test_scale_act_matches_the_fraction_kernel(data):
     a = data.draw(st.one_of(polygons(f), rational_polygons(f)))
     mu = data.draw(scalars(f))
     _same_stored_form(scale_act(mu, a), _old_scale_act(mu, a))
+
+
+# The sector as it was read before the hull run: filter the hull by a grid
+# predicate, sort by argument, and map each plane point back into K.
+
+
+def _old_sector(p):
+    f, s = p.field, p.scale
+
+    def in_sector(x, y):
+        if f.sigma == 4:
+            return x > 0 and y >= 0
+        if f.sigma == 6:
+            return x > 0 and 0 <= y < x
+        return y > 0 or (y == 0 and x > 0)
+
+    def cmp(u, v):
+        # all arguments lie in a half-open half-plane, so one cross product orders them
+        c = u[0] * v[1] - u[1] * v[0]
+        return -1 if c > 0 else (1 if c < 0 else 0)
+
+    pts = sorted([q for q in p.hull if in_sector(*q)], key=cmp_to_key(cmp))
+    return [PlanePoint(Fraction(x, s), Fraction(y, s)) for x, y in pts]
+
+
+def _old_plane_to_quadrat(f, v):
+    # case 1 gives (a, b) = (x, y); case 2 gives b = 2y, a = x - y
+    ax, bx = (v.x, v.y) if f.case == 1 else (v.x - v.y, 2 * v.y)
+    den = math.lcm(ax.denominator, bx.denominator)
+    return QuadRat.make(QuadInt(f, int(ax * den), int(bx * den)), den)
+
+
+@given(st.one_of(polygons(), rational_polygons()))
+def test_sector_matches_the_sorted_oracle(p):
+    want = _old_sector(p)
+    assert list(p.sector) == want
+    assert list(p.sector_elements) == [_old_plane_to_quadrat(p.field, v) for v in want]
+    assert [q.plane() for q in p.sector_elements] == list(p.sector)
