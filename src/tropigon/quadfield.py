@@ -306,15 +306,6 @@ def _norm_vec(f: Field, v: tuple[int, int]) -> int:
     return QuadInt(f, v[0], v[1]).norm()
 
 
-def _bilinear(f: Field, u, v) -> Fraction:
-    s = (u[0] + v[0], u[1] + v[1])
-    return Fraction(_norm_vec(f, s) - _norm_vec(f, u) - _norm_vec(f, v), 2)
-
-
-def _round_frac(q: Fraction) -> int:
-    return math.floor(q + Fraction(1, 2))
-
-
 def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
     """Generator of the ideal (x, y), unit-canonical, with Bezout cofactors.
 
@@ -370,7 +361,8 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
     if _norm_vec(f, u) > _norm_vec(f, v):
         u, v, cu, cv = v, u, cv, cu
     while True:
-        mu = _round_frac(_bilinear(f, u, v) / _norm_vec(f, u))
+        # floor(B(u, v)/N(u) + 1/2) in integers, as 2*B(u, v) = N(u+v) - N(u) - N(v)
+        mu = (_norm_vec(f, (u[0] + v[0], u[1] + v[1])) - _norm_vec(f, v)) // (2 * _norm_vec(f, u))
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
         cv = (cv[0] - mu * cu[0], cv[1] - mu * cu[1])
         if _norm_vec(f, v) >= _norm_vec(f, u):

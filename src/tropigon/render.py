@@ -7,7 +7,6 @@ at (x, y*sqrt(d)) with sqrt(d) taken to 30 significant digits, display-only.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 from .polygeom import EMPTY, ZERO, SymPolygon
 

@@ -10,11 +10,12 @@ bilinear map to B that disagrees).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .envelope import Envelope, leq, phi, phi_inv, tmax, tplus
+from .envelope import NEG_INF, Envelope, eval_at, leq, phi, phi_inv, tmax, tplus
 from .errors import WrongField
 from .polygeom import scale_act
 from .quadfield import QuadInt, QuadRat
@@ -120,60 +121,28 @@ def act_pair(alpha: QuadInt, beta: QuadInt, t: FormalTensor) -> FormalTensor:
 def eval_tensor_at(t: FormalTensor, x, y):
     """max over pairs of e(x) + f(y); -inf on the bottom tensor."""
     if t.is_bottom():
-        return float("-inf")
-    x, y = Fraction(x), Fraction(y)
-    best = None
-    for e, f in t.pairs:
-        val = max(a + (b - a) * x for a, b in e.lines) + max(
-            a + (b - a) * y for a, b in f.lines
-        )
-        best = val if best is None else max(best, val)
-    return best
+        return NEG_INF
+    return max(eval_at(e, x) + eval_at(f, y) for e, f in t.pairs)
 
 
-def _piece_set(t: FormalTensor) -> frozenset[tuple[Fraction, Fraction, Fraction]]:
-    # each piece (p, q, r) is the affine function p + q*x + r*y on the unit square
-    out = set()
-    for e, f in t.pairs:
-        for a1, b1 in e.lines:
-            for a2, b2 in f.lines:
-                out.add((a1 + a2, b1 - a1, b2 - a2))
-    return frozenset(out)
+# the unit square's corners as homogeneous points (X, Y, W), W > 0
+_SQUARE = ((0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1))
 
 
-_SQUARE = (
-    (Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(1)),
-    (Fraction(0), Fraction(1)),
-)
-
-
-def _clip(poly, c0: Fraction, cx: Fraction, cy: Fraction):
-    # Sutherland-Hodgman: keep the side c0 + cx*x + cy*y >= 0
+def _clip(poly, c0: int, cx: int, cy: int):
+    # Sutherland-Hodgman: keep the side c0*W + cx*X + cy*Y >= 0
+    vals = [c0 * w + cx * x + cy * y for x, y, w in poly]
     out = []
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        v1 = c0 + cx * x1 + cy * y1
-        v2 = c0 + cx * x2 + cy * y2
+    for p, v1, q, v2 in zip(poly, vals, poly[1:] + poly[:1], vals[1:] + vals[:1]):
         if v1 >= 0:
-            out.append((x1, y1))
+            out.append(p)
         if (v1 > 0 > v2) or (v1 < 0 < v2):
-            s = v1 / (v1 - v2)
-            out.append((x1 + s * (x2 - x1), y1 + s * (y2 - y1)))
+            # |v2|*p + |v1|*q lies on the line; positive weights keep W > 0
+            a, b = abs(v2), abs(v1)
+            x, y, w = (a * i + b * j for i, j in zip(p, q))
+            g = math.gcd(x, y, w)
+            out.append((x // g, y // g, w // g))
     return out
-
-
-def _area2(poly) -> Fraction:
-    s = Fraction(0)
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        s += x1 * y2 - x2 * y1
-    return abs(s)
 
 
 def _exceeds_somewhere(piece, others) -> bool:
@@ -182,7 +151,11 @@ def _exceeds_somewhere(piece, others) -> bool:
     The strict system is feasible iff the closed clipped region has positive
     area: a nonconstant affine constraint vanishes only on a line, so a
     two-dimensional closed region contains a point satisfying every strict
-    inequality.
+    inequality.  No area pass is needed.  Clipping a convex region of positive
+    area either keeps a vertex with value > 0, and then the open half-plane
+    holds a piece of the region of positive area, or keeps only vertices on
+    the line, of which a convex region has at most two.  So three or more
+    vertices after every clip mean positive area.
     """
     poly = list(_SQUARE)
     for tau in others:
@@ -194,7 +167,7 @@ def _exceeds_somewhere(piece, others) -> bool:
         poly = _clip(poly, c0, cx, cy)
         if len(poly) < 3:
             return False
-    return _area2(poly) > 0
+    return True
 
 
 def eval_separator(s: FormalTensor, t: FormalTensor) -> str:
@@ -205,7 +178,18 @@ def eval_separator(s: FormalTensor, t: FormalTensor) -> str:
     """
     if s.is_bottom() or t.is_bottom():
         return POSSIBLY_EQUAL if s.is_bottom() and t.is_bottom() else DISTINCT
-    ps, pt = _piece_set(s), _piece_set(t)
+    # each piece (p, q, r) is the affine function (p + q*x + r*y)/scale on the
+    # unit square, read off the integer arcs over one common denominator
+    scale = math.lcm(*(e.scale for u in (s, t) for pair in u.pairs for e in pair))
+    ps, pt = set(), set()
+    for u, out in ((s, ps), (t, pt)):
+        for e, f in u.pairs:
+            m, n = scale // e.scale, scale // f.scale
+            out.update(
+                (a1 * m + a2 * n, (b1 - a1) * m, (b2 - a2) * n)
+                for a1, b1 in e.arc
+                for a2, b2 in f.arc
+            )
     if ps == pt:
         return POSSIBLY_EQUAL
     for piece in ps - pt:

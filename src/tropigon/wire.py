@@ -21,7 +21,7 @@ from .adelic import (
     primes_above,
 )
 from .envelope import Envelope
-from .errors import MalformedInput
+from .errors import MalformedInput, OutOfDomain
 from .polygeom import EMPTY, PROPER, ZERO, GeneratorDecomposition, SymPolygon
 from .quadfield import (
     HEEGNER_DS,
@@ -157,7 +157,7 @@ def prime_from_json(f: Field, data) -> PrimeIdeal:
     _expect(not gen.is_zero(), "prime generator must be nonzero")
     try:
         above = primes_above(f, p)
-    except Exception as exc:
+    except OutOfDomain as exc:
         raise MalformedInput(str(exc)) from exc
     want = canonical_unit_rep(gen)
     for cand in above:

@@ -315,6 +315,34 @@ def test_adele_validate_and_act():
     assert out == {"bound": 10, "values": [[P2, {"den": 1, "num": [1, 0]}]]}
 
 
+def test_adele_prime_that_is_not_prime_is_malformed():
+    p4 = {"p": 4, "gen": [2, 0], "kind": "inert"}
+    code, out, _ = run(
+        ["adele", "--field", "1"], json.dumps({"op": "module", "vector": {"exps": [[p4, 1]]}})
+    )
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["kind"] == "malformed-input" and "not a rational prime" in parsed["error"]
+
+
+def test_adele_broken_invariant_is_exit_3():
+    # a CheckFailed from primes_above is an internal error, not bad input
+    script = (
+        "import sys\n"
+        "from tropigon import cli, wire\n"
+        "from tropigon.errors import CheckFailed\n"
+        "def broken(f, p):\n"
+        "    raise CheckFailed('broken')\n"
+        "wire.primes_above = broken\n"
+        "sys.exit(cli.main(['adele', '--field', '1']))\n"
+    )
+    payload = json.dumps({"op": "module", "vector": {"exps": [[P2, 1]]}})
+    p = subprocess.run([sys.executable, "-c", script], input=payload, capture_output=True, text=True)
+    assert p.returncode == 3
+    (line,) = p.stdout.splitlines()
+    assert json.loads(line) == {"error": "CheckFailed: broken", "kind": "internal-error"}
+
+
 # ---------------------------------------------------------------------- stalk
 
 

@@ -18,3 +18,22 @@ def test_no_module_imports_a_private_name_of_another():
                 continue
             found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            a.asname or a.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert found == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropigon import (
@@ -37,7 +37,8 @@ from tropigon import (
     tplus,
 )
 from tropigon import wire
-from tropigon.errors import WrongField
+from tropigon.errors import OutOfDomain, WrongField
+from tropigon.tensorlab import _exceeds_somewhere
 
 F1 = field(1)
 
@@ -107,6 +108,10 @@ def test_eval_frozen():
     assert eval_tensor_at(T_SQ, Fraction(1, 2), Fraction(1, 2)) == 1
     assert eval_tensor_at(T_SQ, 0, 0) == 2
     assert eval_tensor_at(FormalTensor.bottom(), 0, 0) == float("-inf")
+    # the envelopes live on [0, 1]: no silent extrapolation
+    for x, y in ((Fraction(-1, 2), 0), (0, Fraction(3, 2))):
+        with pytest.raises(OutOfDomain):
+            eval_tensor_at(T_SQ, x, y)
 
 
 def test_separator_frozen():
@@ -199,6 +204,136 @@ def test_eval_matches_operations(t, ix, iy):
     assert eval_tensor_at(u, x, y) == max(eval_tensor_at(t, x, y), eval_tensor_at(T_SQ, x, y))
     v = tensor_mul(t, T_SQ)
     assert eval_tensor_at(v, x, y) == eval_tensor_at(t, x, y) + eval_tensor_at(T_SQ, x, y)
+
+
+# ------------------------------------------------- Fraction separator oracle
+#
+# The rational Sutherland-Hodgman separator with its final area pass, as it
+# ran on the `lines` views before the integer arcs.  Each clip left with three
+# or more vertices must already have positive area: that is why the integer
+# separator needs no area pass.
+
+
+def _old_piece_set(t):
+    out = set()
+    for e, f in t.pairs:
+        for a1, b1 in e.lines:
+            for a2, b2 in f.lines:
+                out.add((a1 + a2, b1 - a1, b2 - a2))
+    return frozenset(out)
+
+
+_OLD_SQUARE = (
+    (Fraction(0), Fraction(0)),
+    (Fraction(1), Fraction(0)),
+    (Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(1)),
+)
+
+
+def _old_clip(poly, c0, cx, cy):
+    out = []
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        v1 = c0 + cx * x1 + cy * y1
+        v2 = c0 + cx * x2 + cy * y2
+        if v1 >= 0:
+            out.append((x1, y1))
+        if (v1 > 0 > v2) or (v1 < 0 < v2):
+            s = v1 / (v1 - v2)
+            out.append((x1 + s * (x2 - x1), y1 + s * (y2 - y1)))
+    return out
+
+
+def _area2(poly):
+    s = Fraction(0)
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        s += x1 * y2 - x2 * y1
+    return abs(s)
+
+
+def _old_exceeds_somewhere(piece, others):
+    poly = list(_OLD_SQUARE)
+    for tau in others:
+        c0, cx, cy = piece[0] - tau[0], piece[1] - tau[1], piece[2] - tau[2]
+        if cx == 0 and cy == 0:
+            if c0 <= 0:
+                return False
+            continue
+        poly = _old_clip(poly, c0, cx, cy)
+        if len(poly) < 3:
+            return False
+        assert _area2(poly) > 0
+    return _area2(poly) > 0
+
+
+def _old_eval_separator(s, t):
+    if s.is_bottom() or t.is_bottom():
+        return POSSIBLY_EQUAL if s.is_bottom() and t.is_bottom() else DISTINCT
+    ps, pt = _old_piece_set(s), _old_piece_set(t)
+    if ps == pt:
+        return POSSIBLY_EQUAL
+    for piece in ps - pt:
+        if _old_exceeds_somewhere(piece, pt):
+            return DISTINCT
+    for piece in pt - ps:
+        if _old_exceeds_somewhere(piece, ps):
+            return DISTINCT
+    return POSSIBLY_EQUAL
+
+
+_COEF = st.integers(-4, 4)
+_TRIPLE = st.tuples(_COEF, _COEF, _COEF)
+
+
+@given(_TRIPLE, st.lists(_TRIPLE, max_size=4))
+@example((0, 1, 0), [(0, 0, 0)])  # the half x > 0: two corners lie on the line
+@example((0, 0, 0), [(0, 1, -1), (0, -1, 1)])  # shrinks to the diagonal segment
+@example((0, 0, 0), [(0, 1, -1), (2, -1, -1)])  # shrinks to the corner (1, 1)
+@example((0, 0, 0), [(1, -4, 0), (-1, 2, 0)])  # the strip 1/4 <= x <= 1/2
+@example((1, 0, 0), [(0, 0, 0)])  # constant differences: cx = cy = 0
+@example((0, 0, 0), [(0, -1, 0), (1, 0, 0)])  # a clip, then a constant one
+def test_exceeds_somewhere_matches_fraction_oracle(piece, others):
+    frac = [tuple(Fraction(c) for c in tau) for tau in others]
+    want = _old_exceeds_somewhere(tuple(Fraction(c) for c in piece), frac)
+    assert _exceeds_somewhere(piece, others) == want
+
+
+# the same integer arc (1, 0), (0, 3) over the scales 2 and 3
+_ENV_HALF = _env((Fraction(1, 2), 0), (0, Fraction(3, 2)))
+_ENV_THIRD = _env((Fraction(1, 3), 0), (0, 1))
+# A(x) + 0 >= 1 everywhere, so the pair (0, 1) adds nothing to (A, 0), yet
+# neither pair absorbs the other: its piece touches the envelope at x = 1/2
+_ENV_A = _env((2, 0), (0, 2))
+_T_A = FormalTensor.make([(_ENV_A, _env((0, 0)))])
+_T_A_TOUCHED = FormalTensor.make([(_ENV_A, _env((0, 0))), (_env((0, 0)), _env((1, 1)))])
+
+
+@given(_tensors(max_pairs=2), _tensors(max_pairs=2))
+@example(FormalTensor.make([(_ENV_HALF, E_UNIT)]), FormalTensor.make([(_ENV_THIRD, E_UNIT)]))
+@example(FormalTensor.make([(_ENV_HALF, _ENV_THIRD)]), FormalTensor.make([(_ENV_THIRD, _ENV_HALF)]))
+@example(_T_A, _T_A_TOUCHED)
+def test_separator_matches_fraction_oracle(s, t):
+    assert eval_separator(s, t) == _old_eval_separator(s, t)
+
+
+def test_separator_reads_the_integer_arcs_only(monkeypatch):
+    # the tensors are built first: normalize sorts pairs by their lines
+    a = FormalTensor.make([(_ENV_HALF, _ENV_THIRD)])
+    b = FormalTensor.make([(_ENV_THIRD, _ENV_HALF)])
+
+    def no_lines(self):
+        raise AssertionError("the separator read the Fraction view")
+
+    monkeypatch.setattr(Envelope, "lines", property(no_lines))
+    assert eval_separator(a, b) == DISTINCT
+    assert eval_separator(a, a) == POSSIBLY_EQUAL
+    assert eval_separator(_T_A, _T_A_TOUCHED) == POSSIBLY_EQUAL
 
 
 # ------------------------------------------------------------ reduced quotient
