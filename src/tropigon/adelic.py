@@ -22,7 +22,7 @@ from .errors import (
     check,
 )
 from .polygeom import PROPER, SymPolygon, membership_in_generated, scale_act
-from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd
+from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd, same_field
 
 SPLIT = "split"
 INERT = "inert"
@@ -290,8 +290,7 @@ def adele_from_module(h: ModuleHandle) -> ValuationVector:
 
 
 def iso_class_equal(a: ValuationVector, b: ValuationVector) -> tuple[bool, QuadRat | None]:
-    if a.field.d != b.field.d:
-        raise FieldMismatch(f"d={a.field.d} vs d={b.field.d}")
+    same_field(a, b)
     if a.free != b.free:
         return False, None
     diff: dict[PrimeIdeal, int] = {}

@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from . import selftest, wire
+from . import wire
 from .adelic import (
     adele_from_module,
     ideal_count_upto,
@@ -284,6 +284,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here so that no other subcommand pays for it
+    from . import selftest
+
     seed = args.seed if args.seed is not None else 0
     return 0 if selftest.run(seed) else 1
 

@@ -10,10 +10,14 @@ Read as a point, a line's value at t is its pairing with the direction
 (1 - t, t), so an envelope is the support function of its points over the
 quarter-turn of directions from (1, 0) to (0, 1).  The canonical form is
 therefore one arc of the convex hull of the points.  An envelope is stored
-as that arc in integers over a denominator `scale`, divided by
-gcd(scale, *coordinates) so that equal envelopes compare and hash equal;
-BOTTOM is the empty arc.  `lines` is the rational view of the arc.  Every
-operation runs on the integers over a common denominator, so all are exact.
+as that arc in the encoding of `polygeom.SymPolygon`: integers over a
+denominator `scale`, in lowest terms by `polygeom.lowest_terms`, so that
+equal envelopes compare and hash equal.  BOTTOM is the empty arc, over scale
+1 like EMPTY, and the zero envelope is the origin, like ZERO.  `lines` is the
+rational view of the arc.  `tmax` and `tplus` are the hull of the union and
+of the pairwise sums of two arcs over a common denominator, as `hull_union`
+and `minkowski_sum` are for polygons, so all are exact and BOTTOM and zero
+need no case of their own.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -22,13 +26,12 @@ and Minkowski sum becomes pointwise +.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
-from .polygeom import EMPTY, ZERO, SymPolygon, convex_hull
+from .polygeom import SymPolygon, convex_hull, lowest_terms, over_lcm, to_grid
 from .quadfield import field
 
 Line = tuple[Fraction, Fraction]
@@ -37,7 +40,7 @@ NEG_INF = float("-inf")
 
 
 def _canonical(pts, scale: int) -> Envelope:
-    """The envelope of the lines (x/scale, y/scale) for nonempty integer points."""
+    """The envelope of the lines (x/scale, y/scale) for integer points (x, y)."""
     return _arc(convex_hull(pts), scale)
 
 
@@ -48,16 +51,15 @@ def _arc(hull, scale: int) -> Envelope:
     point maximizing (a, b) lexicographically to the one maximizing (b, a):
     the arc's outward normals are the directions (1 - t, t), and its slopes
     b - a increase along it.  The hull keeps strict turns only, so a line
-    that meets the envelope in a single point is dropped.
+    that meets the envelope in a single point is dropped.  An empty hull is
+    BOTTOM.
     """
+    if not hull:
+        return Envelope.bottom()
     i = hull.index(max(hull))
     j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
     arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
-    g = math.gcd(scale, *(c for p in arc for c in p))
-    if g > 1:
-        scale //= g
-        arc = [(x // g, y // g) for x, y in arc]
-    return Envelope(scale, tuple(arc))
+    return Envelope(*lowest_terms(scale, arc))
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,7 @@ class Envelope:
 
     @staticmethod
     def of(lines) -> Envelope:
-        ls = [(Fraction(a), Fraction(b)) for a, b in lines]
-        if not ls:
-            return Envelope.bottom()
-        s = math.lcm(*(x.denominator for ln in ls for x in ln))
-        pts = [(a.numerator * (s // a.denominator), b.numerator * (s // b.denominator)) for a, b in ls]
-        return _canonical(pts, s)
+        return _canonical(*to_grid((Fraction(a), Fraction(b)) for a, b in lines))
 
     @staticmethod
     def zero() -> Envelope:
@@ -100,21 +97,13 @@ class Envelope:
 
 
 def tmax(f: Envelope, g: Envelope) -> Envelope:
-    if not f.arc:
-        return g
-    if not g.arc:
-        return f
-    s = math.lcm(f.scale, g.scale)
-    mf, mg = s // f.scale, s // g.scale
-    return _canonical([(a * mf, b * mf) for a, b in f.arc] + [(a * mg, b * mg) for a, b in g.arc], s)
+    p, q, s = over_lcm(f.arc, f.scale, g.arc, g.scale)
+    return _canonical(p + q, s)
 
 
 def tplus(f: Envelope, g: Envelope) -> Envelope:
-    if not f.arc or not g.arc:
-        return Envelope.bottom()
-    s = math.lcm(f.scale, g.scale)
-    mf, mg = s // f.scale, s // g.scale
-    return _canonical({(a * mf + c * mg, b * mf + d * mg) for a, b in f.arc for c, d in g.arc}, s)
+    p, q, s = over_lcm(f.arc, f.scale, g.arc, g.scale)
+    return _canonical({(a + c, b + d) for a, b in p for c, d in q}, s)
 
 
 def eval_at(f: Envelope, t: Fraction):
@@ -151,10 +140,6 @@ def leq(f: Envelope, g: Envelope) -> bool:
 def phi(p: SymPolygon) -> Envelope:
     if p.field.d != 1:
         raise WrongField("the functional dual is built for d=1")
-    if p.tag == EMPTY:
-        return Envelope.bottom()
-    if p.tag == ZERO:
-        return Envelope.zero()
     # the stored orbit hull is CCW with strict turns already
     return _arc(p.hull, p.scale)
 

@@ -1,13 +1,17 @@
 """Idempotent semiring of unit-symmetric convex polygons.
 
-A value is EMPTY, ZERO, or a proper polygon stored as its CCW integer orbit
-hull over a denominator `scale`, divided by gcd(scale, *coordinates) so that
-equal polygons compare and hash equal.  Every kernel runs on these integers
-over a common denominator, so everything is exact.  The canonical sector
-vertices (one per unit orbit, argument in [0, 2*pi/sigma), sorted by
-increasing argument) are one cyclic run of the hull: `sector` and
-`orbit_points` are rational plane views of the hull, and `sector_elements`
-gives the sector as elements of K.
+A value is stored as its CCW integer orbit hull over a denominator `scale`,
+in lowest terms: divided by gcd(scale, *coordinates), so that equal polygons
+compare and hash equal.  EMPTY is the empty hull and ZERO the origin alone,
+both over scale 1; any other hull is a proper polygon.  `Envelope` stores its
+values the same way, and the point helpers below (`to_grid`, `over_lcm`,
+`lowest_terms`) are shared by both.  Every kernel is the hull of integer
+points over a common denominator, so everything is exact, and the empty set
+and the origin need no case of their own.  The canonical sector vertices
+(one per unit orbit, argument in [0, 2*pi/sigma), sorted by increasing
+argument) are one cyclic run of the hull: `sector` and `orbit_points` are
+rational plane views of the hull, and `sector_elements` gives the sector as
+elements of K.
 """
 
 from __future__ import annotations
@@ -16,14 +20,36 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import FieldMismatch, NotLattice, NotProper, WrongField, ZeroInput
-from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd
+from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
 PROPER = "proper"
+
+
+def to_grid(pairs):
+    """Rational pairs (x, y) as integer points over the lcm of their denominators."""
+    pairs = list(pairs)
+    s = math.lcm(1, *(c.denominator for p in pairs for c in p))
+    return [(x.numerator * (s // x.denominator), y.numerator * (s // y.denominator)) for x, y in pairs], s
+
+
+def over_lcm(p, s: int, q, t: int):
+    """Integer points p over s and q over t, both rescaled to lcm(s, t)."""
+    u = math.lcm(s, t)
+    m, n = u // s, u // t
+    return [(x * m, y * m) for x, y in p], [(x * n, y * n) for x, y in q], u
+
+
+def lowest_terms(scale: int, pts):
+    """(scale, points) divided by gcd(scale, *coordinates); points become a tuple."""
+    g = math.gcd(scale, *(c for p in pts for c in p))
+    if g == 1:
+        return scale, tuple(pts)
+    return scale // g, tuple((x // g, y // g) for x, y in pts)
 
 
 def convex_hull(points):
@@ -75,51 +101,44 @@ def _covers(hull, s: int, pts, t: int) -> bool:
 @dataclass(frozen=True)
 class SymPolygon:
     field: Field
-    tag: str
     scale: int
     hull: tuple[tuple[int, int], ...]
 
+    @property
+    def tag(self) -> str:
+        return EMPTY if not self.hull else ZERO if len(self.hull) == 1 else PROPER
+
     @staticmethod
     def empty(f: Field) -> SymPolygon:
-        return SymPolygon(f, EMPTY, 1, ())
+        return SymPolygon(f, 1, ())
 
     @staticmethod
     def zero(f: Field) -> SymPolygon:
-        return SymPolygon(f, ZERO, 1, ())
+        return SymPolygon(f, 1, ((0, 0),))
 
     @staticmethod
     def from_points(f: Field, points) -> SymPolygon:
-        pts = list(points)
-        scale = math.lcm(1, *(c.denominator for p in pts for c in (p.x, p.y)))
-        return SymPolygon.from_grid(f, [(int(p.x * scale), int(p.y * scale)) for p in pts], scale)
+        return SymPolygon.from_grid(f, *to_grid((p.x, p.y) for p in points))
 
     @staticmethod
     def from_grid(f: Field, grid, scale: int) -> SymPolygon:
         """The hull of the unit orbits of the points (x/scale, y/scale), (x, y) in grid."""
-        if not grid:
-            return SymPolygon.empty(f)
-        orbit, scale = _orbit_expand(f, grid, scale)
-        return SymPolygon._from_orbit(f, orbit, scale)
+        return SymPolygon._from_orbit(f, *_orbit_expand(f, grid, scale))
 
     @staticmethod
     def _from_orbit(f: Field, orbit, scale: int) -> SymPolygon:
-        # orbit is closed under the units already
+        # orbit is closed under the units, so one hull point is the origin
+        # and two are a segment through it
         hull = convex_hull(orbit)
-        if not hull or all(p == (0, 0) for p in hull):
-            return SymPolygon.zero(f)
-        if len(hull) < 3:
+        if len(hull) == 2:
             raise NotProper("orbit hull has empty interior")
-        g = math.gcd(scale, *(c for p in hull for c in p))
-        if g > 1:
-            scale //= g
-            hull = [(x // g, y // g) for x, y in hull]
-        return SymPolygon(f, PROPER, scale, tuple(hull))
+        return SymPolygon(f, *lowest_terms(scale, hull))
 
     def _sector_run(self) -> list[tuple[tuple[int, int], QuadInt]]:
         # The hull runs CCW around the origin and the sector is a cone of angle
         # at most pi, so the sector vertices are one cyclic run of the hull.
         # Each comes with its ring coordinates over `scale`.
-        if not self.hull:
+        if self.tag != PROPER:
             return []
         f = self.field
         run = [((x, y), QuadInt(f, x, y) if f.case == 1 else QuadInt(f, x - y, 2 * y)) for x, y in self.hull]
@@ -144,15 +163,11 @@ class SymPolygon:
     def contains(self, p: PlanePoint) -> bool:
         if self.tag != PROPER:
             return self.tag == ZERO and p.is_origin()
-        t = math.lcm(p.x.denominator, p.y.denominator)
-        return _covers(self.hull, self.scale, [(int(p.x * t), int(p.y * t))], t)
+        return _covers(self.hull, self.scale, *to_grid([(p.x, p.y)]))
 
     def contains_polygon(self, other: SymPolygon) -> bool:
-        if other.tag == EMPTY:
-            return True
         if self.tag != PROPER:
-            return self.tag == ZERO == other.tag
-        # a proper polygon is symmetric about the origin, so it holds ZERO
+            return other.tag == EMPTY or self.tag == other.tag
         return _covers(self.hull, self.scale, other.hull, other.scale)
 
     def __repr__(self):
@@ -162,56 +177,25 @@ class SymPolygon:
         return f"SymPolygon(d={self.field.d}, [{vs}])"
 
 
-_DK: dict[int, SymPolygon] = {}
-
-
+@cache
 def dk(f: Field) -> SymPolygon:
-    got = _DK.get(f.d)
-    if got is None:
-        got = SymPolygon.from_points(f, [f.one.plane(), f.omega.plane()])
-        _DK[f.d] = got
-    return got
-
-
-def _check_fields(a: SymPolygon, b: SymPolygon):
-    if a.field.d != b.field.d:
-        raise FieldMismatch(f"d={a.field.d} vs d={b.field.d}")
+    return SymPolygon.from_points(f, [f.one.plane(), f.omega.plane()])
 
 
 def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
-    _check_fields(a, b)
-    if a.tag == EMPTY:
-        return b
-    if b.tag == EMPTY:
-        return a
-    # ZERO's hull is empty, and a proper polygon already holds the origin
-    s = math.lcm(a.scale, b.scale)
-    ma, mb = s // a.scale, s // b.scale
-    pts = [(x * ma, y * ma) for x, y in a.hull] + [(x * mb, y * mb) for x, y in b.hull]
-    return SymPolygon._from_orbit(a.field, pts, s)
+    same_field(a, b)
+    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
+    return SymPolygon._from_orbit(a.field, p + q, s)
 
 
 def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
-    _check_fields(a, b)
-    if a.tag == EMPTY or b.tag == EMPTY:
-        return SymPolygon.empty(a.field)
-    if a.tag == ZERO:
-        return b
-    if b.tag == ZERO:
-        return a
-    s = math.lcm(a.scale, b.scale)
-    ma, mb = s // a.scale, s // b.scale
-    pts = {(x1 * ma + x2 * mb, y1 * ma + y2 * mb) for x1, y1 in a.hull for x2, y2 in b.hull}
-    return SymPolygon._from_orbit(a.field, pts, s)
+    same_field(a, b)
+    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
+    return SymPolygon._from_orbit(a.field, {(x1 + x2, y1 + y2) for x1, y1 in p for x2, y2 in q}, s)
 
 
 def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
-    if mu.field.d != a.field.d:
-        raise FieldMismatch(f"d={mu.field.d} vs d={a.field.d}")
-    if a.tag == EMPTY:
-        return a
-    if mu.is_zero() or a.tag == ZERO:
-        return SymPolygon.zero(a.field)
+    same_field(mu, a)
     # mu is the plane point (u, v)/w; multiplying by it is a similarity that
     # commutes with the units, so the image of the hull is the new hull
     f, n = a.field, mu.num

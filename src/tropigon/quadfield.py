@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import BothZero, CheckFailed, DivByZero, FieldMismatch, ZeroInput, check
 
@@ -83,18 +83,13 @@ class Field:
         return f"Field(d={self.d})"
 
 
-_FIELDS: dict[int, Field] = {}
-
-
+@cache
 def field(d: int) -> Field:
-    f = _FIELDS.get(d)
-    if f is None:
-        f = Field(d)
-        _FIELDS[d] = f
-    return f
+    return Field(d)
 
 
-def _check_same(x, y):
+def same_field(x, y):
+    """Raise FieldMismatch unless x and y live over the same field."""
     if x.field.d != y.field.d:
         raise FieldMismatch(f"d={x.field.d} vs d={y.field.d}")
 
@@ -106,11 +101,11 @@ class QuadInt:
     b: int
 
     def __add__(self, other: QuadInt) -> QuadInt:
-        _check_same(self, other)
+        same_field(self, other)
         return QuadInt(self.field, self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: QuadInt) -> QuadInt:
-        _check_same(self, other)
+        same_field(self, other)
         return QuadInt(self.field, self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> QuadInt:
@@ -119,7 +114,7 @@ class QuadInt:
     def __mul__(self, other) -> QuadInt:
         if isinstance(other, int):
             return QuadInt(self.field, self.a * other, self.b * other)
-        _check_same(self, other)
+        same_field(self, other)
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
         if self.field.case == 1:
             return QuadInt(self.field, a1 * a2 - self.field.d * b1 * b2, a1 * b2 + a2 * b1)
@@ -207,7 +202,7 @@ class QuadRat:
         return self.den == 1
 
     def __add__(self, other: QuadRat) -> QuadRat:
-        _check_same(self, other)
+        same_field(self, other)
         return QuadRat.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: QuadRat) -> QuadRat:
@@ -221,7 +216,7 @@ class QuadRat:
             other = QuadRat(other, 1)
         elif isinstance(other, int):
             return QuadRat.make(self.num * other, self.den)
-        _check_same(self, other)
+        same_field(self, other)
         return QuadRat.make(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -313,7 +308,7 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
     lattice spanned by x, omega*x, y, omega*y and reduced by Lagrange-Gauss
     under the norm form; class number 1 makes the shortest vector a generator.
     """
-    _check_same(x, y)
+    same_field(x, y)
     f = x.field
     if x.is_zero() and y.is_zero():
         raise BothZero("gcd(0, 0)")

@@ -7,20 +7,16 @@ at (x, y*sqrt(d)) with sqrt(d) taken to 30 significant digits, display-only.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from functools import cache
 
 from .polygeom import EMPTY, ZERO, SymPolygon
 
-_SQRT_CACHE: dict[int, Decimal] = {}
 
-
+@cache
 def _sqrt_d(d: int) -> Decimal:
-    got = _SQRT_CACHE.get(d)
-    if got is None:
-        with localcontext() as ctx:
-            ctx.prec = 30
-            got = Decimal(d).sqrt()
-        _SQRT_CACHE[d] = got
-    return got
+    with localcontext() as ctx:
+        ctx.prec = 30
+        return Decimal(d).sqrt()
 
 
 def _display(p, d: int) -> tuple[Decimal, Decimal]:

@@ -9,6 +9,7 @@ runtime budget where one exists, and prints a single PASS/FAIL line so a plain
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from tropigon.selftest import (
     _c01_semiring,
@@ -25,6 +26,8 @@ from tropigon.selftest import (
 )
 
 SEED = 42
+# `python -m tropigon.cli selftest --seed 42` stdout, byte for byte
+GOLDEN = Path(__file__).resolve().parent / "data" / "selftest_seed42.jsonl"
 
 
 def _criterion(n, group, fn, description, budget=None):
@@ -155,6 +158,7 @@ def test_criterion_11_selftest_determinism():
         assert second.returncode == 0
         assert first.stdout == second.stdout
         assert len(first.stdout.splitlines()) == 10
+        assert first.stdout == GOLDEN.read_bytes()
     except BaseException:
         print(
             f"criterion 11: FAIL ({time.monotonic() - start:.1f}s) — selftest --seed 42 byte-identical",

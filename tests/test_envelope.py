@@ -1,5 +1,6 @@
 """Piecewise-affine envelopes on [0,1] and the d=1 duality."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from tropigon import (
 )
 from tropigon.envelope import NEG_INF, _canonical
 from tropigon.errors import NotProper, OutOfDomain, WrongField
+from tropigon.polygeom import convex_hull
 
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 lines_strategy = st.lists(st.tuples(rats, rats), min_size=1, max_size=5)
@@ -362,3 +364,69 @@ def test_phi_round_trip_keeps_the_stored_form(p):
     _same(phi(phi_inv(e)), e)
     if not e.is_bottom():
         _same(Envelope.of(e.lines), e)
+
+
+# The kernels as they were before BOTTOM and the zero envelope shared the
+# polygon encoding: each degenerate operand had a branch of its own.  They
+# build their results with their own arc reduction and stay here as
+# differential oracles.
+
+
+def _branchy_arc(hull, scale):
+    i = hull.index(max(hull))
+    j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
+    arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
+    g = math.gcd(scale, *(c for p in arc for c in p))
+    return Envelope(scale // g, tuple((x // g, y // g) for x, y in arc))
+
+
+def _branchy_tmax(f, g):
+    if not f.arc:
+        return g
+    if not g.arc:
+        return f
+    s = math.lcm(f.scale, g.scale)
+    mf, mg = s // f.scale, s // g.scale
+    pts = [(a * mf, b * mf) for a, b in f.arc] + [(a * mg, b * mg) for a, b in g.arc]
+    return _branchy_arc(convex_hull(pts), s)
+
+
+def _branchy_tplus(f, g):
+    if not f.arc or not g.arc:
+        return Envelope.bottom()
+    s = math.lcm(f.scale, g.scale)
+    mf, mg = s // f.scale, s // g.scale
+    pts = {(a * mf + c * mg, b * mf + d * mg) for a, b in f.arc for c, d in g.arc}
+    return _branchy_arc(convex_hull(pts), s)
+
+
+def _branchy_phi(p):
+    if p.tag == "empty":
+        return Envelope.bottom()
+    if p.tag == "zero":
+        return Envelope.zero()
+    return _branchy_arc(p.hull, p.scale)
+
+
+degenerate_envelopes = st.sampled_from([Envelope.bottom(), Envelope.zero()])
+degenerate_polygons = st.sampled_from([SymPolygon.empty(field(1)), SymPolygon.zero(field(1))])
+
+
+@given(
+    st.one_of(degenerate_envelopes, tie_heavy_envelopes()),
+    st.one_of(degenerate_envelopes, tie_heavy_envelopes()),
+    st.one_of(degenerate_polygons, rational_gaussian_polygons()),
+)
+def test_kernels_match_the_branchy_oracles(f, g, p):
+    _same(tmax(f, g), _branchy_tmax(f, g))
+    _same(tplus(f, g), _branchy_tplus(f, g))
+    _same(phi(p), _branchy_phi(p))
+    assert phi_inv(phi(p)) == p
+
+
+def test_phi_round_trips_the_degenerate_values():
+    f = field(1)
+    for p, e in ((SymPolygon.empty(f), Envelope.bottom()), (SymPolygon.zero(f), Envelope.zero())):
+        _same(phi(p), e)
+        assert (phi_inv(e).scale, phi_inv(e).hull) == (p.scale, p.hull)
+        assert phi_inv(e) == p and hash(phi_inv(e)) == hash(p)

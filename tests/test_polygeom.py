@@ -371,8 +371,10 @@ def test_stored_form_of_d3_hexagons():
     assert two.scale == 1 and len(two.hull) == 6
     _same_stored_form(two, scale_act(QuadRat.from_int(f, 2), base))
     _same_stored_form(two, minkowski_sum(base, base))
-    for p in (SymPolygon.empty(f), SymPolygon.zero(f)):
-        assert (p.scale, p.hull, p.sector, p.orbit_points()) == (1, (), (), [])
+    e, z = SymPolygon.empty(f), SymPolygon.zero(f)
+    assert (e.scale, e.hull, e.sector, e.orbit_points()) == (1, (), (), [])
+    origin = PlanePoint(Fraction(0), Fraction(0))
+    assert (z.scale, z.hull, z.sector, z.orbit_points()) == (1, ((0, 0),), (), [origin])
 
 
 # The kernels below are the Fraction implementations the stored hull
@@ -500,3 +502,73 @@ def test_sector_matches_the_sorted_oracle(p):
     assert list(p.sector) == want
     assert list(p.sector_elements) == [_old_plane_to_quadrat(p.field, v) for v in want]
     assert [q.plane() for q in p.sector_elements] == list(p.sector)
+
+
+# The kernels as they were before EMPTY and ZERO became hulls like any other:
+# each degenerate operand had a branch of its own.  They build their results
+# with their own hull reduction and stay here as differential oracles.
+
+
+def _branchy_from_orbit(f, orbit, scale):
+    hull = convex_hull(orbit)
+    if not hull or all(p == (0, 0) for p in hull):
+        return SymPolygon.zero(f)
+    if len(hull) < 3:
+        raise NotProper("orbit hull has empty interior")
+    g = math.gcd(scale, *(c for p in hull for c in p))
+    return SymPolygon(f, scale // g, tuple((x // g, y // g) for x, y in hull))
+
+
+def _branchy_hull_union(a, b):
+    if a.tag == EMPTY:
+        return b
+    if b.tag == EMPTY:
+        return a
+    s = math.lcm(a.scale, b.scale)
+    ma, mb = s // a.scale, s // b.scale
+    pts = [(x * ma, y * ma) for x, y in a.hull] + [(x * mb, y * mb) for x, y in b.hull]
+    return _branchy_from_orbit(a.field, pts, s)
+
+
+def _branchy_minkowski_sum(a, b):
+    if a.tag == EMPTY or b.tag == EMPTY:
+        return SymPolygon.empty(a.field)
+    if a.tag == ZERO:
+        return b
+    if b.tag == ZERO:
+        return a
+    s = math.lcm(a.scale, b.scale)
+    ma, mb = s // a.scale, s // b.scale
+    pts = {(x1 * ma + x2 * mb, y1 * ma + y2 * mb) for x1, y1 in a.hull for x2, y2 in b.hull}
+    return _branchy_from_orbit(a.field, pts, s)
+
+
+def _branchy_scale_act(mu, a):
+    if a.tag == EMPTY:
+        return a
+    if mu.is_zero() or a.tag == ZERO:
+        return SymPolygon.zero(a.field)
+    f, n = a.field, mu.num
+    if f.case == 1:
+        u, v, w = n.a, n.b, mu.den
+    else:
+        u, v, w = 2 * n.a + n.b, n.b, 2 * mu.den
+    pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
+    return _branchy_from_orbit(f, pts, a.scale * w)
+
+
+def operands(f):
+    fixed = st.sampled_from([SymPolygon.empty(f), SymPolygon.zero(f), dk(f)])
+    return st.one_of(fixed, polygons(f), rational_polygons(f))
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+@given(st.data())
+def test_kernels_match_the_branchy_oracles(d, data):
+    f = field(d)
+    a, b = data.draw(operands(f)), data.draw(operands(f))
+    mu = data.draw(st.one_of(st.just(QuadRat.from_int(f, 0)), scalars(f)))
+    _same_stored_form(hull_union(a, b), _branchy_hull_union(a, b))
+    _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
+    _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
+    assert a.tag == (EMPTY if not a.hull else ZERO if a.hull == ((0, 0),) else PROPER)
