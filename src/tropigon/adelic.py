@@ -4,6 +4,10 @@ Finitely supported data only: a vector stores its nonzero exponents plus the
 set of primes where the component is zero ("free", no constraint).  Every
 module of K that arises this way is principal away from the free primes, so a
 single rational generator plus the free set is a faithful handle.
+
+Points over C, pairs (a, lam) of a vector and an archimedean coordinate, are
+compared only through their canonical descriptor `point_over_c`; `point_iso`
+is equality of descriptors.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    FieldMismatch,
     InvalidSection,
     MalformedInput,
     OutOfDomain,
@@ -98,26 +101,19 @@ def primes_upto(f: Field, bound: int) -> list[PrimeIdeal]:
     return out
 
 
-def _quo_exact(x: QuadInt, g: QuadInt) -> QuadInt | None:
-    n = g.norm()
-    w = x * g.conj()
-    if w.a % n or w.b % n:
-        return None
-    return QuadInt(x.field, w.a // n, w.b // n)
-
-
 def valuation(q: QuadRat, prime: PrimeIdeal) -> int:
-    if q.field.d != prime.field.d:
-        raise FieldMismatch(f"value over d={q.field.d}, prime over d={prime.field.d}")
+    same_field(q, prime)
     if q.is_zero():
         raise ZeroInput("valuation of 0")
+    # divide the numerator by pi while the quotient x*conj(pi)/N(pi) stays integral
+    n, conj = prime.gen.norm(), prime.gen.conj()
     v = 0
     cur = q.num
     while True:
-        nxt = _quo_exact(cur, prime.gen)
-        if nxt is None:
+        w = cur * conj
+        if w.a % n or w.b % n:
             break
-        cur = nxt
+        cur = QuadInt(cur.field, w.a // n, w.b // n)
         v += 1
     den, k = q.den, 0
     while den % prime.p == 0:
@@ -142,31 +138,68 @@ def _prime_pow(prime: PrimeIdeal, e: int) -> QuadRat:
     return QuadRat(prime.gen, 1).pow(e)
 
 
+def _realize(k: QuadRat, exps) -> QuadRat:
+    """k * prod pi^-e over the (prime, e) pairs of exps."""
+    for prime, e in exps:
+        k = k * _prime_pow(prime, -e)
+    return k
+
+
+def _strip(k: QuadRat, free) -> QuadRat:
+    """k with its valuation cleared at each free prime.
+
+    pi^-v changes no valuation at any other prime, so the result is
+    integral exactly when k is integral away from the free primes.
+    """
+    for prime in free:
+        v = valuation(k, prime)
+        if v:
+            k = k * _prime_pow(prime, -v)
+    return k
+
+
 def _sorted_primes(f: Field, primes) -> tuple[PrimeIdeal, ...]:
-    out = []
-    seen = set()
+    primes = set(primes)
     for prime in primes:
-        if prime.field.d != f.d:
-            raise FieldMismatch(f"prime over d={prime.field.d} in a d={f.d} vector")
+        same_field(prime, f.one)
+    return tuple(sorted(primes, key=PrimeIdeal.sort_key))
+
+
+def _keyed_primes(f: Field, pairs, what: str, keep) -> tuple:
+    """A dict or list of (prime, value) pairs over f, as a tuple sorted by prime.
+
+    A prime over another field raises FieldMismatch and a repeated prime
+    MalformedInput.  keep(prime, value) runs on each pair in input order,
+    may raise, and drops the pair when false.
+    """
+    items = []
+    seen: set[PrimeIdeal] = set()
+    for prime, x in pairs.items() if isinstance(pairs, dict) else pairs:
+        same_field(prime, f.one)
         if prime in seen:
-            continue
+            raise MalformedInput(f"duplicate prime in {what}")
         seen.add(prime)
-        out.append(prime)
-    out.sort(key=PrimeIdeal.sort_key)
-    return tuple(out)
+        if keep(prime, x):
+            items.append((prime, x))
+    items.sort(key=lambda t: t[0].sort_key())
+    return tuple(items)
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_factors(n: int, upto: int | None = None) -> list[int]:
+    """The distinct prime factors of n, ascending; with upto, only those <= upto."""
     n = abs(n)
+    if upto is None:
+        upto = n
     out = []
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= upto:
         if n % p == 0:
             out.append(p)
             while n % p == 0:
                 n //= p
         p += 1 if p == 2 else 2
-    if n > 1:
+    # what is left is 1, a prime, or has only prime factors above upto
+    if 1 < n <= upto:
         out.append(n)
     return out
 
@@ -189,21 +222,14 @@ class ValuationVector:
     def make(f: Field, exps=(), free=()) -> ValuationVector:
         free_t = _sorted_primes(f, free)
         free_set = set(free_t)
-        items: list[tuple[PrimeIdeal, int]] = []
-        seen: set[PrimeIdeal] = set()
-        pairs = exps.items() if isinstance(exps, dict) else exps
-        for prime, e in pairs:
-            if prime.field.d != f.d:
-                raise FieldMismatch(f"prime over d={prime.field.d} in a d={f.d} vector")
-            if prime in seen:
-                raise MalformedInput("duplicate prime in exponent list")
-            seen.add(prime)
+
+        def nonzero(prime: PrimeIdeal, e: int) -> bool:
             if prime in free_set:
                 raise MalformedInput("exponent listed at a free prime")
-            if e:
-                items.append((prime, int(e)))
-        items.sort(key=lambda t: t[0].sort_key())
-        return ValuationVector(f, tuple(items), free_t)
+            return e != 0
+
+        items = _keyed_primes(f, exps, "exponent list", nonzero)
+        return ValuationVector(f, tuple((prime, int(e)) for prime, e in items), free_t)
 
     def exp_of(self, prime: PrimeIdeal) -> int:
         for q, e in self.exps:
@@ -230,34 +256,23 @@ class ModuleHandle:
 
     @staticmethod
     def make(f: Field, gen: QuadRat, free=()) -> ModuleHandle:
-        if gen.field.d != f.d:
-            raise FieldMismatch(f"generator over d={gen.field.d} for a d={f.d} module")
+        same_field(gen, f.one)
         if gen.is_zero():
             raise ZeroInput("nonzero module with zero generator")
         free_t = _sorted_primes(f, free)
         # valuations at free primes carry no information: clear them so equal
         # modules compare equal as handles
-        for prime in free_t:
-            v = valuation(gen, prime)
-            if v:
-                gen = gen * _prime_pow(prime, -v)
-        gen = _unit_canonical_rat(gen)
+        gen = _unit_canonical_rat(_strip(gen, free_t))
         kind = LOCALIZED if free_t else PRINCIPAL
         return ModuleHandle(f, kind, gen, free_t)
 
     def member(self, q: QuadRat) -> bool:
-        if q.field.d != self.field.d:
-            raise FieldMismatch(f"d={q.field.d} element, d={self.field.d} module")
+        same_field(q, self)
         if self.kind == ZERO_MODULE:
             return q.is_zero()
         if q.is_zero():
             return True
-        r = q / self.gen
-        for prime in self.free:
-            v = valuation(r, prime)
-            if v < 0:
-                r = r * _prime_pow(prime, -v)
-        return r.is_integral()
+        return _strip(q / self.gen, self.free).is_integral()
 
     def __repr__(self):
         if self.kind == ZERO_MODULE:
@@ -268,24 +283,14 @@ class ModuleHandle:
 
 def module_from_adele(a: ValuationVector) -> ModuleHandle:
     # H_a = {q : v(q) >= v(delta) - e at every constrained prime}
-    gen = complementary_generator(a.field)
-    for prime, e in a.exps:
-        gen = gen * _prime_pow(prime, -e)
-    return ModuleHandle.make(a.field, gen, a.free)
+    return ModuleHandle.make(a.field, _realize(complementary_generator(a.field), a.exps), a.free)
 
 
 def adele_from_module(h: ModuleHandle) -> ValuationVector:
     if h.kind == ZERO_MODULE:
         raise ZeroModule("the zero module is not of the form H_a")
     ratio = complementary_generator(h.field) / h.gen
-    free_set = set(h.free)
-    exps = []
-    for prime in support_primes(ratio):
-        if prime in free_set:
-            continue
-        e = valuation(ratio, prime)
-        if e:
-            exps.append((prime, e))
+    exps = [(prime, valuation(ratio, prime)) for prime in support_primes(ratio) if prime not in h.free]
     return ValuationVector.make(h.field, exps, h.free)
 
 
@@ -293,60 +298,28 @@ def iso_class_equal(a: ValuationVector, b: ValuationVector) -> tuple[bool, QuadR
     same_field(a, b)
     if a.free != b.free:
         return False, None
-    diff: dict[PrimeIdeal, int] = {}
-    for prime, e in a.exps:
-        diff[prime] = diff.get(prime, 0) - e
-    for prime, e in b.exps:
-        diff[prime] = diff.get(prime, 0) + e
-    k = QuadRat.from_int(a.field, 1)
-    for prime in sorted(diff, key=PrimeIdeal.sort_key):
-        if diff[prime]:
-            k = k * _prime_pow(prime, diff[prime])
-    return True, k
+    # the witness carries b's exponents minus a's
+    return True, _realize(QuadRat.from_int(a.field, 1), a.exps + tuple((prime, -e) for prime, e in b.exps))
 
 
 def point_over_c(a: ValuationVector, lam: QuadRat):
     """Canonical descriptor of the pair (a, lam) under the joint K* action.
 
-    Two pairs get equal descriptors exactly when point_iso accepts them: the
-    archimedean coordinate is divided by a generator realizing the exponents,
-    stripped of free-prime valuations, and reduced modulo units.
+    The archimedean coordinate is divided by a generator realizing the
+    exponents, stripped of free-prime valuations, and reduced modulo units.
+    A zero coordinate gives None, so such degenerate pairs compare by their
+    free set alone.
     """
-    if lam.field.d != a.field.d:
-        raise FieldMismatch(f"d={lam.field.d} scalar, d={a.field.d} vector")
+    same_field(lam, a)
     if lam.is_zero():
         return (a.field.d, a.free, None)
-    k = lam
-    for prime, e in a.exps:
-        k = k * _prime_pow(prime, -e)
-    for prime in a.free:
-        v = valuation(k, prime)
-        if v:
-            k = k * _prime_pow(prime, -v)
-    return (a.field.d, a.free, _unit_canonical_rat(k))
+    return (a.field.d, a.free, _unit_canonical_rat(_strip(_realize(lam, a.exps), a.free)))
 
 
 def point_iso(pa: tuple[ValuationVector, QuadRat], pb: tuple[ValuationVector, QuadRat]) -> bool:
-    a, lam = pa
-    b, mu = pb
-    if a.field.d != b.field.d or lam.field.d != a.field.d or mu.field.d != b.field.d:
-        raise FieldMismatch("point comparison across fields")
-    if a.free != b.free:
-        return False
-    if lam.is_zero() or mu.is_zero():
-        # degenerate pairs compare by module class alone
-        return lam.is_zero() == mu.is_zero()
-    k = mu / lam
-    ea = dict(a.exps)
-    eb = dict(b.exps)
-    support = set(ea) | set(eb) | set(support_primes(k))
-    free_set = set(a.free)
-    for prime in support:
-        if prime in free_set:
-            continue
-        if valuation(k, prime) != eb.get(prime, 0) - ea.get(prime, 0):
-            return False
-    return True
+    """Are the pairs (a, lam) and (b, mu) one point over C?"""
+    same_field(pa[0], pb[0])
+    return point_over_c(*pa) == point_over_c(*pb)
 
 
 @dataclass(frozen=True)
@@ -357,28 +330,18 @@ class FiniteSection:
 
     @staticmethod
     def make(f: Field, prime_bound: int, values=()) -> FiniteSection:
-        pairs = values.items() if isinstance(values, dict) else values
-        items = []
-        seen: set[PrimeIdeal] = set()
-        for prime, xi in pairs:
-            if prime.field.d != f.d or xi.field.d != f.d:
-                raise FieldMismatch("section data across fields")
-            if prime in seen:
-                raise MalformedInput("duplicate prime in section")
-            seen.add(prime)
-            if not xi.is_zero():
-                items.append((prime, xi))
-        items.sort(key=lambda t: t[0].sort_key())
-        return FiniteSection(f, prime_bound, tuple(items))
+        def nonzero(prime: PrimeIdeal, xi: QuadRat) -> bool:
+            same_field(xi, f.one)
+            return not xi.is_zero()
+
+        return FiniteSection(f, prime_bound, _keyed_primes(f, values, "section", nonzero))
 
 
 def section_violation(s: FiniteSection) -> PrimeIdeal | None:
     # only denominator primes can fail, and only at places other than the
     # component's own prime; the bound keeps the check finite
     for prime, xi in s.values:
-        for p in _prime_factors(xi.den):
-            if p > s.prime_bound:
-                continue
+        for p in _prime_factors(xi.den, s.prime_bound):
             for q in primes_above(s.field, p):
                 if q != prime and valuation(xi, q) < 0:
                     return q
@@ -390,8 +353,7 @@ def section_validate(s: FiniteSection) -> bool:
 
 
 def section_act(k: QuadInt, s: FiniteSection) -> FiniteSection:
-    if k.field.d != s.field.d:
-        raise FieldMismatch(f"d={k.field.d} scalar on a d={s.field.d} section")
+    same_field(k, s)
     bad = section_violation(s)
     if bad is not None:
         raise InvalidSection(bad)
@@ -436,22 +398,19 @@ class PrimeFiber:
         have a denominator at any other place is rejected outright.
         """
         f = self.prime.field
-        if poly.field.d != f.d:
-            raise FieldMismatch(f"d={poly.field.d} polygon at a d={f.d} place")
+        same_field(poly, self.prime)
         if poly.tag != PROPER:
             return True, 0
-        pi = QuadRat(self.prime.gen, 1)
         n0 = 0
         for q in poly.sector_elements:
-            vp = valuation(q, self.prime)
-            if not (q * pi.pow(-vp)).is_integral():
+            if not _strip(q, (self.prime,)).is_integral():
                 return False, None
-            n0 = max(n0, -vp)
+            n0 = max(n0, -valuation(q, self.prime))
         # scaling by pi is monotone, so search upward from the first integral level;
         # for d in {1, 3} integrality already decides, elsewhere scan a short window
         tries = 1 if f.d in (1, 3) else 3
         for n in range(n0, n0 + tries):
-            ok, _ = membership_in_generated(scale_act(pi.pow(n), poly))
+            ok, _ = membership_in_generated(scale_act(_prime_pow(self.prime, n), poly))
             if ok:
                 return True, n
         return False, None

@@ -10,7 +10,8 @@ reader closed stdout early, and nothing more is printed.
 Flags that size the work are capped, and a larger value exits 2 with kind
 malformed-input: `primes --bound` at MAX_PRIME_BOUND, `tensor experiment
 --bound` at MAX_EXPERIMENT_SAMPLES and `tensor --witness-bound` at
-MAX_WITNESS_BOUND.
+MAX_WITNESS_BOUND.  So is the `"bound"` of an `adele` section, at
+MAX_PRIME_BOUND.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 
 from . import wire
 from .adelic import (
+    FiniteSection,
     adele_from_module,
     ideal_count_upto,
     iso_class_equal,
@@ -165,6 +167,13 @@ def cmd_primes(args) -> int:
     return 0
 
 
+def _section(f: Field, data: dict) -> FiniteSection:
+    s = wire.section_from_json(f, _need(data, "section"))
+    if s.prime_bound > MAX_PRIME_BOUND:
+        raise MalformedInput(f"bound must be <= {MAX_PRIME_BOUND}")
+    return s
+
+
 def cmd_adele(args) -> int:
     f = _field_flag(args, required=True)
     data = wire.as_dict(_load_json(args), "adele request")
@@ -185,14 +194,14 @@ def cmd_adele(args) -> int:
         q = wire.quadrat_from_json(f, _need(data, "q"))
         _emit({"member": h.member(q)})
     elif op == "validate":
-        s = wire.section_from_json(f, _need(data, "section"))
+        s = _section(f, data)
         bad = section_violation(s)
         out = {"valid": bad is None}
         if bad is not None:
             out["prime"] = wire.prime_to_json(bad)
         _emit(out)
     elif op == "act":
-        s = wire.section_from_json(f, _need(data, "section"))
+        s = _section(f, data)
         k = wire.quadint_from_json(f, _need(data, "k"))
         _emit(wire.section_to_json(section_act(k, s)))
     else:

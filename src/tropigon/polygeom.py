@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .errors import FieldMismatch, NotLattice, NotProper, WrongField, ZeroInput
+from .errors import NotLattice, NotProper, WrongField, ZeroInput
 from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd, same_field
 
 EMPTY = "empty"
@@ -255,8 +255,7 @@ def membership_in_generated(
     if gens is None:
         gens = [QuadRat.from_int(f, 1)]
     for h in gens:
-        if h.field.d != f.d:
-            raise FieldMismatch(f"generator over d={h.field.d}, polygon over d={f.d}")
+        same_field(h, p)
     if p.tag == EMPTY:
         return True, GeneratorDecomposition(())
     nonzero = [h for h in gens if not h.is_zero()]

@@ -28,8 +28,19 @@ EQUAL = "equal"
 UNKNOWN = "unknown"
 
 
-def _pair_key(pair: Pair):
-    return (pair[0].lines, pair[1].lines)
+def _sorted_pairs(pairs) -> tuple[Pair, ...]:
+    """The pairs in the order of their `lines` views, compared in integers.
+
+    Each arc is rescaled to the lcm L of all scales in the set: x -> x*L/s
+    is strictly increasing, so the order is that of the rationals x/s.
+    """
+    lcm = math.lcm(*(e.scale for pair in pairs for e in pair))
+
+    def rescaled(e: Envelope):
+        m = lcm // e.scale
+        return tuple((a * m, b * m) for a, b in e.arc)
+
+    return tuple(sorted(pairs, key=lambda pair: (rescaled(pair[0]), rescaled(pair[1]))))
 
 
 def _normalize_pairs(pairs) -> tuple[Pair, ...]:
@@ -50,7 +61,7 @@ def _normalize_pairs(pairs) -> tuple[Pair, ...]:
             if not any(q != p and leq(p[0], q[0]) and leq(p[1], q[1]) for q in merged)
         }
         if kept == cur:
-            return tuple(sorted(cur, key=_pair_key))
+            return _sorted_pairs(cur)
         cur = kept
 
 

@@ -22,11 +22,10 @@ from .adelic import (
 )
 from .envelope import Envelope
 from .errors import MalformedInput, OutOfDomain
-from .polygeom import EMPTY, PROPER, ZERO, GeneratorDecomposition, SymPolygon
+from .polygeom import EMPTY, PROPER, ZERO, GeneratorDecomposition, SymPolygon, to_grid
 from .quadfield import (
     HEEGNER_DS,
     Field,
-    PlanePoint,
     QuadInt,
     QuadRat,
     canonical_unit_rep,
@@ -89,10 +88,25 @@ def quadrat_from_json(f: Field, data) -> QuadRat:
     return QuadRat.make(quadint_from_json(f, v["num"]), den)
 
 
+def _pairs_to_json(pairs) -> list[list[int]]:
+    return [[x.numerator, x.denominator, y.numerator, y.denominator] for x, y in pairs]
+
+
+def _pairs_from_json(entries, item: str, names) -> list[tuple[Fraction, Fraction]]:
+    """Rational pairs from [xn, xd, yn, yd] entries; names spells the four in messages."""
+    xn, xd, yn, yd = names
+    out = []
+    for entry in entries:
+        e = as_list(entry, item)
+        _expect(len(e) == 4, f"{item} must be [{xn}, {xd}, {yn}, {yd}]")
+        dx, dy = _as_int(e[1], xd), _as_int(e[3], yd)
+        _expect(dx != 0 and dy != 0, f"{item} with zero denominator")
+        out.append((Fraction(_as_int(e[0], xn), dx), Fraction(_as_int(e[2], yn), dy)))
+    return out
+
+
 def polygon_to_json(p: SymPolygon) -> dict:
-    sector = [
-        [v.x.numerator, v.x.denominator, v.y.numerator, v.y.denominator] for v in p.sector
-    ]
+    sector = _pairs_to_json((v.x, v.y) for v in p.sector)
     return {"field": p.field.d, "tag": p.tag, "sector": sector}
 
 
@@ -108,38 +122,22 @@ def polygon_from_json(data, expect_field: Field | None = None) -> SymPolygon:
     if tag == ZERO:
         return SymPolygon.zero(f)
     _expect(tag == PROPER, f"unknown polygon tag {tag!r}")
-    pts = []
-    for entry in as_list(v.get("sector", []), "sector"):
-        e = as_list(entry, "vertex")
-        _expect(len(e) == 4, "vertex must be [xn, xd, yn, yd]")
-        xd, yd = _as_int(e[1], "xd"), _as_int(e[3], "yd")
-        _expect(xd != 0 and yd != 0, "vertex with zero denominator")
-        pts.append(PlanePoint(Fraction(_as_int(e[0], "xn"), xd), Fraction(_as_int(e[2], "yn"), yd)))
+    pts = _pairs_from_json(as_list(v.get("sector", []), "sector"), "vertex", ("xn", "xd", "yn", "yd"))
     _expect(bool(pts), "proper polygon with empty sector")
-    return SymPolygon.from_points(f, pts)
+    return SymPolygon.from_grid(f, *to_grid(pts))
 
 
 def envelope_to_json(e: Envelope) -> dict:
     if e.is_bottom():
         return {"tag": "bottom"}
-    return {
-        "lines": [
-            [a.numerator, a.denominator, b.numerator, b.denominator] for a, b in e.lines
-        ]
-    }
+    return {"lines": _pairs_to_json(e.lines)}
 
 
 def envelope_from_json(data) -> Envelope:
     v = as_dict(data, "envelope")
     if v.get("tag") == "bottom":
         return Envelope.bottom()
-    lines = []
-    for entry in as_list(v.get("lines"), "lines"):
-        e = as_list(entry, "line")
-        _expect(len(e) == 4, "line must be [an, ad, bn, bd]")
-        ad, bd = _as_int(e[1], "ad"), _as_int(e[3], "bd")
-        _expect(ad != 0 and bd != 0, "line with zero denominator")
-        lines.append((Fraction(_as_int(e[0], "an"), ad), Fraction(_as_int(e[2], "bn"), bd)))
+    lines = _pairs_from_json(as_list(v.get("lines"), "lines"), "line", ("an", "ad", "bn", "bd"))
     _expect(bool(lines), "envelope with no lines")
     return Envelope.of(lines)
 

@@ -37,7 +37,7 @@ from tropigon import (
     section_validate,
     valuation,
 )
-from tropigon.adelic import GENERIC
+from tropigon.adelic import GENERIC, support_primes
 from tropigon.errors import (
     FieldMismatch,
     InvalidSection,
@@ -325,6 +325,101 @@ def test_point_frozen_cases():
     assert not point_iso((triv, zero), (triv, one))
 
 
+def _point_iso_oracle(pa, pb) -> bool:
+    # the former point_iso: valuation by valuation over the joint support
+    a, lam = pa
+    b, mu = pb
+    if a.field.d != b.field.d or lam.field.d != a.field.d or mu.field.d != b.field.d:
+        raise FieldMismatch("point comparison across fields")
+    if a.free != b.free:
+        return False
+    if lam.is_zero() or mu.is_zero():
+        return lam.is_zero() == mu.is_zero()
+    k = mu / lam
+    ea = dict(a.exps)
+    eb = dict(b.exps)
+    support = set(ea) | set(eb) | set(support_primes(k))
+    free_set = set(a.free)
+    for prime in support:
+        if prime in free_set:
+            continue
+        if valuation(k, prime) != eb.get(prime, 0) - ea.get(prime, 0):
+            return False
+    return True
+
+
+def _member_oracle(h, q) -> bool:
+    # the former ModuleHandle.member: clears only negative free-prime valuations
+    if h.kind == "zero":
+        return q.is_zero()
+    if q.is_zero():
+        return True
+    r = q / h.gen
+    for prime in h.free:
+        v = valuation(r, prime)
+        if v < 0:
+            r = r * QuadRat.make(prime.gen, 1).pow(-v)
+    return r.is_integral()
+
+
+def _prime_pool(f):
+    # every kind of prime: split conjugate pairs, inert, and the ramified one,
+    # which lies above d (above 2 for d in {1, 2})
+    pool = primes_upto(f, 13)
+    return pool if any(q.kind == RAMIFIED for q in pool) else pool + list(primes_above(f, f.d))
+
+
+@st.composite
+def _scalars(draw, f):
+    if draw(st.integers(0, 7)) == 0:
+        return QuadRat.from_int(f, 0)
+    num = QuadInt(f, draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+    lam = QuadRat.make(num, draw(st.integers(1, 6)))
+    # prime powers, so that valuations at the vector's primes vary
+    for q in draw(st.lists(st.sampled_from(_prime_pool(f)), max_size=3)):
+        lam = lam * QuadRat.make(q.gen, 1).pow(draw(st.integers(-2, 2)))
+    return lam
+
+
+@st.composite
+def _points(draw, f):
+    primes = draw(st.lists(st.sampled_from(_prime_pool(f)), unique=True, max_size=4))
+    n_free = draw(st.integers(0, len(primes)))
+    exps = [(q, draw(st.integers(-2, 2))) for q in primes[n_free:]]
+    return ValuationVector.make(f, exps, primes[:n_free]), draw(_scalars(f))
+
+
+@st.composite
+def _point_pairs(draw):
+    f = field(draw(st.sampled_from(HEEGNER_DS)))
+    pa = draw(_points(f))
+    if draw(st.booleans()):
+        return pa, draw(_points(f))
+    # k*(a, lam) = (a + v(k) away from the free primes, k*lam) is the same point
+    a, lam = pa
+    k = draw(_scalars(f))
+    if k.is_zero():
+        return pa, pa
+    exps = dict(a.exps)
+    for q in support_primes(k):
+        if q not in a.free:
+            exps[q] = exps.get(q, 0) + valuation(k, q)
+    return pa, (ValuationVector.make(f, exps, a.free), lam * k)
+
+
+@given(_point_pairs())
+def test_point_iso_matches_valuation_oracle(pts):
+    pa, pb = pts
+    assert point_iso(pa, pb) == _point_iso_oracle(pa, pb)
+
+
+@given(st.sampled_from(HEEGNER_DS).flatmap(lambda d: st.tuples(_points(field(d)), _scalars(field(d)))))
+def test_member_matches_negative_only_oracle(draws):
+    (a, _), q = draws
+    for h in (module_from_adele(a), ModuleHandle.zero(a.field)):
+        assert h.member(q) == _member_oracle(h, q)
+
+
 def test_point_descriptor_agrees_with_point_iso():
     rng = random.Random(31)
     lams = [
@@ -341,7 +436,7 @@ def test_point_descriptor_agrees_with_point_iso():
     for pa in pts:
         for pb in pts:
             same_desc = point_over_c(*pa) == point_over_c(*pb)
-            assert same_desc == point_iso(pa, pb), (pa, pb)
+            assert same_desc == _point_iso_oracle(pa, pb), (pa, pb)
 
 
 # ---------------------------------------------------------------- sections

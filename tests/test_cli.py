@@ -12,8 +12,8 @@ from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BO
 CMD = [sys.executable, "-m", "tropigon.cli"]
 
 
-def run(args, stdin=None):
-    p = subprocess.run(CMD + args, input=stdin, capture_output=True, text=True)
+def run(args, stdin=None, timeout=None):
+    p = subprocess.run(CMD + args, input=stdin, capture_output=True, text=True, timeout=timeout)
     return p.returncode, p.stdout, p.stderr
 
 
@@ -313,6 +313,28 @@ def test_adele_validate_and_act():
     )
     assert code == 0
     assert out == {"bound": 10, "values": [[P2, {"den": 1, "num": [1, 0]}]]}
+
+
+@pytest.mark.parametrize("op", ["validate", "act"])
+def test_adele_section_with_a_large_prime_denominator_answers(op):
+    # only primes up to the bound can fail, so the prime 2^61 - 1 is never factored
+    m61 = 2**61 - 1
+    section = {"bound": 200, "values": [[P2, {"num": [1, 0], "den": m61}]]}
+    request = json.dumps({"op": op, "section": section, "k": [1, 1]})
+    code, out, err = run(["adele", "--field", "1"], request, timeout=10)
+    assert code == 0, err
+    if op == "validate":
+        assert json.loads(out) == {"valid": True}
+    else:
+        assert json.loads(out) == {"bound": 200, "values": [[P2, {"den": m61, "num": [1, 1]}]]}
+
+
+@pytest.mark.parametrize("op", ["validate", "act"])
+def test_adele_section_bound_over_the_cap_is_malformed(op):
+    section = {"bound": MAX_PRIME_BOUND + 1, "values": []}
+    code, (line,) = run_json(["adele", "--field", "1"], {"op": op, "section": section, "k": [1, 1]})
+    assert code == 2
+    assert line == {"error": f"bound must be <= {MAX_PRIME_BOUND}", "kind": "malformed-input"}
 
 
 def test_adele_prime_that_is_not_prime_is_malformed():

@@ -37,3 +37,32 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}: {name}" for name in imported if name not in used]
     assert found == []
+
+
+def _is_field_d(node) -> bool:
+    # matches <expr>.field.d
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "d"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "field"
+    )
+
+
+def test_field_checks_go_through_same_field():
+    # quadfield.same_field is the one place where two values' fields are compared
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "quadfield.py":
+            (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "same_field"]
+            allowed = set(ast.walk(fn))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and node not in allowed
+            and sum(map(_is_field_d, [node.left, *node.comparators])) >= 2
+        ]
+    assert found == []

@@ -38,7 +38,7 @@ from tropigon import (
 )
 from tropigon import wire
 from tropigon.errors import OutOfDomain, WrongField
-from tropigon.tensorlab import _exceeds_somewhere
+from tropigon.tensorlab import _exceeds_somewhere, _sorted_pairs
 
 F1 = field(1)
 
@@ -141,6 +141,17 @@ def _tensors(max_pairs=3, allow_bottom=True):
     if not allow_bottom:
         return base
     return st.one_of(st.just(FormalTensor.bottom()), base, base)
+
+
+_SCALED_RATS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+_SCALED_ENVELOPES = st.builds(Envelope.of, st.lists(st.tuples(_SCALED_RATS, _SCALED_RATS), min_size=1, max_size=3))
+
+
+@given(st.sets(st.tuples(_SCALED_ENVELOPES, _SCALED_ENVELOPES), max_size=4))
+def test_pair_order_matches_the_lines_views(pairs):
+    # the integer key must order pairs as the rational `lines` views do, since
+    # the wire output and the selftest stdout depend on that order
+    assert list(_sorted_pairs(pairs)) == sorted(pairs, key=lambda p: (p[0].lines, p[1].lines))
 
 
 GRID = [Fraction(k, 4) for k in range(5)]
