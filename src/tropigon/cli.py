@@ -50,9 +50,7 @@ MAX_EXPERIMENT_SAMPLES = 1_000
 MAX_WITNESS_BOUND = 16
 
 
-def _capped(value: int | None, default: int, cap: int, flag: str) -> int:
-    if value is None:
-        return default
+def _capped(value: int, cap: int, flag: str) -> int:
     if value > cap:
         raise MalformedInput(f"{flag} must be <= {cap}")
     return value
@@ -65,7 +63,8 @@ def _load_json(args) -> object:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, a file that is not UTF-8, or an integer past the int-to-str digit limit
         raise MalformedInput(f"invalid JSON: {exc}") from exc
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
@@ -154,7 +153,7 @@ def cmd_dual(args) -> int:
 
 def cmd_primes(args) -> int:
     f = _field_flag(args, required=True)
-    bound = _capped(args.bound, 50, MAX_PRIME_BOUND, "--bound")
+    bound = _capped(args.bound, MAX_PRIME_BOUND, "--bound")
     if bound < 2:
         raise MalformedInput("--bound must be >= 2")
     out = {
@@ -169,8 +168,7 @@ def cmd_primes(args) -> int:
 
 def _section(f: Field, data: dict) -> FiniteSection:
     s = wire.section_from_json(f, _need(data, "section"))
-    if s.prime_bound > MAX_PRIME_BOUND:
-        raise MalformedInput(f"bound must be <= {MAX_PRIME_BOUND}")
+    _capped(s.prime_bound, MAX_PRIME_BOUND, "bound")
     return s
 
 
@@ -234,9 +232,9 @@ def _experiment_record_json(rec: dict) -> dict:
 
 
 def cmd_tensor(args) -> int:
-    wb = _capped(args.witness_bound, 2, MAX_WITNESS_BOUND, "--witness-bound")
+    wb = _capped(args.witness_bound, MAX_WITNESS_BOUND, "--witness-bound")
     if args.op == "experiment":
-        samples = _capped(args.bound, 50, MAX_EXPERIMENT_SAMPLES, "--bound")
+        samples = _capped(args.bound, MAX_EXPERIMENT_SAMPLES, "--bound")
         seed = args.seed if args.seed is not None else 0
         for rec in cancellativity_experiment(samples, witness_bound=wb, seed=seed):
             _emit(_experiment_record_json(rec))
@@ -334,15 +332,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add("member", json_arg=True, field=True, help="membership in the generated semiring, with witness")
     add("dual", json_arg=True, field=True, help="d=1 polygon/envelope transform (direction inferred)")
     p = add("primes", field=True, help="primes above p <= bound, plus ideal counts")
-    p.add_argument("--bound", type=int, help="rational prime bound (default 50)")
+    p.add_argument("--bound", type=int, default=50, help="rational prime bound (default 50)")
     add("adele", json_arg=True, field=True, help="module/vector round-trips, iso, membership, sections")
     add("stalk", json_arg=True, field=True, help="scale a polygon into a stalk and decide membership")
     p = add("tensor", help="tensor laboratory")
     p.add_argument("op", choices=("normalize", "sep", "reduce", "experiment"))
     p.add_argument("json", nargs="?", help="JSON input file ('-' or absent: stdin)")
-    p.add_argument("--witness-bound", type=int, help="witness search depth (default 2)")
+    p.add_argument("--witness-bound", type=int, default=2, help="witness search depth (default 2)")
     p.add_argument("--seed", type=int, help="experiment RNG seed (default 0)")
-    p.add_argument("--bound", type=int, help="experiment sample count (default 50)")
+    p.add_argument("--bound", type=int, default=50, help="experiment sample count (default 50)")
     p = add("render", json_arg=True, field=True, help="standalone SVG of a polygon with overlays")
     p.add_argument("--svg", help="write the SVG here instead of stdout")
     p = add("selftest", help="run the deterministic invariant suite")

@@ -39,11 +39,6 @@ Line = tuple[Fraction, Fraction]
 NEG_INF = float("-inf")
 
 
-def _canonical(pts, scale: int) -> Envelope:
-    """The envelope of the lines (x/scale, y/scale) for integer points (x, y)."""
-    return _arc(convex_hull(pts), scale)
-
-
 def _arc(hull, scale: int) -> Envelope:
     """The envelope of the lines (x/scale, y/scale) at the vertices of a CCW hull.
 
@@ -73,7 +68,12 @@ class Envelope:
 
     @staticmethod
     def of(lines) -> Envelope:
-        return _canonical(*to_grid((Fraction(a), Fraction(b)) for a, b in lines))
+        return Envelope.from_grid(*to_grid((Fraction(a), Fraction(b)) for a, b in lines))
+
+    @staticmethod
+    def from_grid(pts, scale: int) -> Envelope:
+        """The envelope of the lines (x/scale, y/scale) for integer points (x, y)."""
+        return _arc(convex_hull(pts), scale)
 
     @staticmethod
     def zero() -> Envelope:
@@ -98,12 +98,12 @@ class Envelope:
 
 def tmax(f: Envelope, g: Envelope) -> Envelope:
     p, q, s = over_lcm(f.arc, f.scale, g.arc, g.scale)
-    return _canonical(p + q, s)
+    return Envelope.from_grid(p + q, s)
 
 
 def tplus(f: Envelope, g: Envelope) -> Envelope:
     p, q, s = over_lcm(f.arc, f.scale, g.arc, g.scale)
-    return _canonical({(a + c, b + d) for a, b in p for c, d in q}, s)
+    return Envelope.from_grid({(a + c, b + d) for a, b in p for c, d in q}, s)
 
 
 def eval_at(f: Envelope, t: Fraction):
@@ -113,7 +113,9 @@ def eval_at(f: Envelope, t: Fraction):
         raise OutOfDomain(f"t = {t} outside [0, 1]")
     if not f.arc:
         return NEG_INF
-    return max(a + (b - a) * t for a, b in f.lines)
+    # a + (b - a)*t at t = n/m, over the common denominator scale*m
+    n, m = t.numerator, t.denominator
+    return Fraction(max(a * (m - n) + b * n for a, b in f.arc), f.scale * m)
 
 
 def leq(f: Envelope, g: Envelope) -> bool:

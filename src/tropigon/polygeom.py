@@ -9,9 +9,9 @@ values the same way, and the point helpers below (`to_grid`, `over_lcm`,
 points over a common denominator, so everything is exact, and the empty set
 and the origin need no case of their own.  The canonical sector vertices
 (one per unit orbit, argument in [0, 2*pi/sigma), sorted by increasing
-argument) are one cyclic run of the hull: `sector` and `orbit_points` are
-rational plane views of the hull, and `sector_elements` gives the sector as
-elements of K.
+argument) are one cyclic run of the hull, and `sector_elements` gives them as
+elements of K through `quadfield.from_affix`.  `sector` and `orbit_points` are
+rational plane views of the hull, kept for callers that read plane points.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import NotLattice, NotProper, WrongField, ZeroInput
-from .quadfield import Field, PlanePoint, QuadInt, QuadRat, gcd, same_field
+from .quadfield import Field, PlanePoint, QuadInt, QuadRat, from_affix, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
@@ -141,13 +141,14 @@ class SymPolygon:
         if self.tag != PROPER:
             return []
         f = self.field
-        run = [((x, y), QuadInt(f, x, y) if f.case == 1 else QuadInt(f, x - y, 2 * y)) for x, y in self.hull]
+        run = [((x, y), from_affix(f, x, y)) for x, y in self.hull]
         inside = [q.in_sector() for _, q in run]
         start = next(i for i, ok in enumerate(inside) if ok and not inside[i - 1])
         return (run[start:] + run[:start])[: sum(inside)]
 
     @cached_property
     def sector(self) -> tuple[PlanePoint, ...]:
+        """The sector vertices as rational plane points: a view kept for callers."""
         s = self.scale
         return tuple(PlanePoint(Fraction(x, s), Fraction(y, s)) for (x, y), _ in self._sector_run())
 
@@ -157,13 +158,9 @@ class SymPolygon:
         return tuple(QuadRat.make(q, self.scale) for _, q in self._sector_run())
 
     def orbit_points(self) -> list[PlanePoint]:
+        """The hull vertices as rational plane points: a view kept for callers."""
         s = self.scale
         return [PlanePoint(Fraction(x, s), Fraction(y, s)) for x, y in self.hull]
-
-    def contains(self, p: PlanePoint) -> bool:
-        if self.tag != PROPER:
-            return self.tag == ZERO and p.is_origin()
-        return _covers(self.hull, self.scale, *to_grid([(p.x, p.y)]))
 
     def contains_polygon(self, other: SymPolygon) -> bool:
         if self.tag != PROPER:
@@ -179,7 +176,7 @@ class SymPolygon:
 
 @cache
 def dk(f: Field) -> SymPolygon:
-    return SymPolygon.from_points(f, [f.one.plane(), f.omega.plane()])
+    return SymPolygon.from_grid(f, [f.one.affix(), f.omega.affix()], f.case)
 
 
 def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
@@ -196,15 +193,12 @@ def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
 
 def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
     same_field(mu, a)
-    # mu is the plane point (u, v)/w; multiplying by it is a similarity that
-    # commutes with the units, so the image of the hull is the new hull
-    f, n = a.field, mu.num
-    if f.case == 1:
-        u, v, w = n.a, n.b, mu.den
-    else:
-        u, v, w = 2 * n.a + n.b, n.b, 2 * mu.den
+    # mu is the plane point (u, v) over case*den; multiplying by it is a
+    # similarity that commutes with the units, so the image of the hull is the new hull
+    f = a.field
+    u, v = mu.num.affix()
     pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
-    return SymPolygon._from_orbit(f, pts, a.scale * w)
+    return SymPolygon._from_orbit(f, pts, a.scale * f.case * mu.den)
 
 
 @dataclass(frozen=True)

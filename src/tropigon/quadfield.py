@@ -4,6 +4,10 @@ Elements are written a + b*omega where omega = i*sqrt(d) for d = 1, 2 and
 omega = (1 + i*sqrt(d))/2 for the seven d = 3 mod 4 values.  Plane points
 (x, y) stand for the complex number x + y*sqrt(d)*i, so every sign predicate
 below is exact rational arithmetic.
+
+The element <-> plane-point map lives here alone, in integers: `QuadInt.affix`
+and its inverse `from_affix`.  `plane` and `PlanePoint` are rational views of
+it, kept for callers.
 """
 
 from __future__ import annotations
@@ -142,11 +146,17 @@ class QuadInt:
     def is_unit(self) -> bool:
         return self.norm() == 1
 
-    def plane(self) -> PlanePoint:
-        # affix as (x, y) with value x + y*sqrt(d)*i
+    def affix(self) -> tuple[int, int]:
+        """The plane point (x, y), meaning x + y*sqrt(d)*i, as integers over `field.case`."""
         if self.field.case == 1:
-            return PlanePoint(Fraction(self.a), Fraction(self.b))
-        return PlanePoint(Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
+            return self.a, self.b
+        return 2 * self.a + self.b, self.b
+
+    def plane(self) -> PlanePoint:
+        """The rational view of `affix`, kept for callers that read plane points."""
+        x, y = self.affix()
+        c = self.field.case
+        return PlanePoint(Fraction(x, c), Fraction(y, c))
 
     def in_sector(self) -> bool:
         # argument in [0, 2*pi/sigma); exact, see canonical_unit_rep
@@ -234,15 +244,11 @@ class QuadRat:
     def inverse(self) -> QuadRat:
         return QuadRat.from_int(self.field, 1) / self
 
-    def norm(self) -> Fraction:
-        return Fraction(self.num.norm(), self.den * self.den)
-
-    def trace(self) -> Fraction:
-        return Fraction(self.num.trace(), self.den)
-
     def plane(self) -> PlanePoint:
-        p = self.num.plane()
-        return PlanePoint(p.x / self.den, p.y / self.den)
+        """The rational view of the affix of `num` over `field.case * den`."""
+        x, y = self.num.affix()
+        s = self.field.case * self.den
+        return PlanePoint(Fraction(x, s), Fraction(y, s))
 
     def pow(self, k: int) -> QuadRat:
         if k < 0:
@@ -272,29 +278,19 @@ def divides(y: QuadInt, x: QuadInt) -> bool:
     return div_exact(x, y).is_integral()
 
 
+def from_affix(f: Field, x: int, y: int) -> QuadInt:
+    """The element over scale s whose affix is (x, y) over s: the inverse of `QuadInt.affix`."""
+    if f.case == 1:
+        return QuadInt(f, x, y)
+    return QuadInt(f, x - y, 2 * y)
+
+
 @dataclass(frozen=True)
 class PlanePoint:
+    """A rational plane point (x, y), meaning x + y*sqrt(d)*i: a view kept for callers."""
+
     x: Fraction
     y: Fraction
-
-    def __add__(self, other: PlanePoint) -> PlanePoint:
-        return PlanePoint(self.x + other.x, self.y + other.y)
-
-    def __neg__(self) -> PlanePoint:
-        return PlanePoint(-self.x, -self.y)
-
-    def cmul(self, other: PlanePoint, d: int) -> PlanePoint:
-        # (x1 + y1*sqrt(d)i)(x2 + y2*sqrt(d)i)
-        return PlanePoint(
-            self.x * other.x - d * self.y * other.y,
-            self.x * other.y + self.y * other.x,
-        )
-
-    def abs2(self, d: int) -> Fraction:
-        return self.x * self.x + d * self.y * self.y
-
-    def is_origin(self) -> bool:
-        return self.x == 0 and self.y == 0
 
 
 def _norm_vec(f: Field, v: tuple[int, int]) -> int:

@@ -19,12 +19,13 @@ def _sqrt_d(d: int) -> Decimal:
         return Decimal(d).sqrt()
 
 
-def _display(p, d: int) -> tuple[Decimal, Decimal]:
+def _display(p: SymPolygon) -> list[tuple[Decimal, Decimal]]:
+    # the hull vertices (x/scale, y/scale) drawn at (x/scale, y/scale*sqrt(d));
+    # division is correctly rounded, so an unreduced x/scale gives the same digits
+    s, r = p.scale, _sqrt_d(p.field.d)
     with localcontext() as ctx:
         ctx.prec = 30
-        x = Decimal(p.x.numerator) / Decimal(p.x.denominator)
-        y = Decimal(p.y.numerator) / Decimal(p.y.denominator) * _sqrt_d(d)
-    return x, y
+        return [(Decimal(x) / s, Decimal(y) / s * r) for x, y in p.hull]
 
 
 def _fmt(v: Decimal) -> str:
@@ -41,13 +42,12 @@ def _path(points) -> str:
 
 def render_polygon_svg(p: SymPolygon, overlays=()) -> str:
     """The orbit as a closed path; overlays (e.g. decomposition terms) dashed."""
-    d = p.field.d
     shapes: list[tuple[str, list[tuple[Decimal, Decimal]]]] = []
     if p.tag not in (EMPTY, ZERO):
-        shapes.append(("main", [_display(v, d) for v in p.orbit_points()]))
+        shapes.append(("main", _display(p)))
     for q in overlays:
         if q.tag not in (EMPTY, ZERO):
-            shapes.append(("overlay", [_display(v, d) for v in q.orbit_points()]))
+            shapes.append(("overlay", _display(q)))
 
     radius = Decimal(1)
     for _, pts in shapes:

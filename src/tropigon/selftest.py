@@ -78,11 +78,11 @@ def random_polygon(rng: random.Random, f, span: int = 3, degenerate_rate: float 
             QuadInt(f, rng.randint(-span, span), rng.randint(-span, span))
             for _ in range(rng.randint(1, 3))
         ]
-        plane = [p.plane() for p in pts if not p.is_zero()]
-        if not plane:
+        grid = [p.affix() for p in pts if not p.is_zero()]
+        if not grid:
             continue
         try:
-            return SymPolygon.from_points(f, plane)
+            return SymPolygon.from_grid(f, grid, f.case)
         except NotProper:
             continue
 
@@ -133,7 +133,7 @@ def _c02_membership_dichotomy(rng: random.Random) -> dict:
     for d in (2, 7, 11, 19, 43, 67, 163):
         f = field(d)
         long_vertex = QuadInt(f, 3, 0) if d == 2 else QuadInt(f, 2, 0)
-        p = SymPolygon.from_points(f, [long_vertex.plane(), f.omega.plane()])
+        p = SymPolygon.from_grid(f, [long_vertex.affix(), f.omega.affix()], f.case)
         ok, dec = membership_in_generated(p)
         check(ok is False and dec is None, f"counterexample accepted over d={d}")
         rejected.append(d)
@@ -310,7 +310,9 @@ def _c08_fibers(rng: random.Random) -> dict:
 
 
 def _lowered(rng: random.Random, e: Envelope) -> Envelope:
-    return Envelope.of([(a - rng.randint(1, 3), b - rng.randint(1, 3)) for a, b in e.lines])
+    s = e.scale
+    lines = [(a - rng.randint(1, 3) * s, b - rng.randint(1, 3) * s) for a, b in e.arc]
+    return Envelope.from_grid(lines, s)
 
 
 def _noisy_variant(rng: random.Random, t: FormalTensor) -> FormalTensor:

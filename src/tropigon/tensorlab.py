@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .envelope import NEG_INF, Envelope, eval_at, leq, phi, phi_inv, tmax, tplus
 from .errors import WrongField
@@ -305,13 +304,12 @@ def cancellation_instance(
 
 
 def random_envelope(rng: random.Random, max_lines: int = 3, span: int = 4) -> Envelope:
+    # each line is (n1/den, n2/den) with den drawn from (1, 1, 2), built over 2
     lines = []
     for _ in range(rng.randint(1, max_lines)):
-        den = rng.choice((1, 1, 2))
-        lines.append(
-            (Fraction(rng.randint(-span, span), den), Fraction(rng.randint(-span, span), den))
-        )
-    return Envelope.of(lines)
+        m = 2 // rng.choice((1, 1, 2))
+        lines.append((rng.randint(-span, span) * m, rng.randint(-span, span) * m))
+    return Envelope.from_grid(lines, 2)
 
 
 def random_tensor(

@@ -190,9 +190,10 @@ def test_complementary_generator_identities(d):
     delta = complementary_generator(f)
     # generates the dual lattice: unit norm against the discriminant, and
     # integral traces against a basis of the ring
-    assert delta.norm() * abs(f.discriminant) == 1
-    assert (delta * QuadRat.make(f.one, 1)).trace().denominator == 1
-    assert (delta * QuadRat.make(f.omega, 1)).trace().denominator == 1
+    n, s = delta.num, delta.den
+    assert n.norm() * abs(f.discriminant) == s * s
+    assert (n * f.one).trace() % s == 0
+    assert (n * f.omega).trace() % s == 0
 
 
 def test_complementary_generator_frozen():

@@ -119,6 +119,24 @@ def test_malformed_json_is_exit_2():
     assert parsed["kind"] == "malformed-input" and "error" in parsed
 
 
+def test_integer_past_the_digit_limit_is_exit_2():
+    # json.loads raises a plain ValueError past the interpreter's 4300-digit limit
+    big = "1" + "0" * 5000
+    body = '{"op":"union","A":{"tag":"proper","field":1,"sector":[[%s,1,0,1]]},"B":%s}'
+    code, out, _ = run(["poly"], body % (big, json.dumps(DK1)))
+    assert code == 2
+    parsed = json.loads(out)
+    assert parsed["kind"] == "malformed-input" and parsed["error"].startswith("invalid JSON: ")
+
+
+def test_input_file_that_is_not_utf8_is_exit_2(tmp_path):
+    target = tmp_path / "bad.json"
+    target.write_bytes(b'{"op": "\xff"}')
+    code, out, _ = run(["poly", str(target)])
+    assert code == 2
+    assert json.loads(out)["kind"] == "malformed-input"
+
+
 def test_field_flag_mismatch_rejected():
     bad = dict(DK1, field=3)
     code, out, _ = run(["member", "--field", "1"], json.dumps(bad))

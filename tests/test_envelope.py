@@ -25,7 +25,7 @@ from tropigon import (
     tmax,
     tplus,
 )
-from tropigon.envelope import NEG_INF, _canonical
+from tropigon.envelope import NEG_INF
 from tropigon.errors import NotProper, OutOfDomain, WrongField
 from tropigon.polygeom import convex_hull
 
@@ -85,6 +85,13 @@ def test_canonicalization_preserves_the_function(lines):
     grid = [Fraction(k, 16) for k in range(17)]
     for t in grid:
         assert eval_at(e, t) == _raw_max(lines, t)
+
+
+@given(envelopes(allow_bottom=False), st.fractions(0, 1, max_denominator=60))
+def test_eval_at_matches_the_fraction_formula(e, t):
+    # the formula eval_at used on the rational lines before it read the integer arc
+    got = eval_at(e, t)
+    assert type(got) is Fraction and got == _raw_max(e.lines, t)
 
 
 @given(lines_strategy)
@@ -352,7 +359,7 @@ def test_routes_to_one_envelope_agree(lines, k):
     # canonical form drops them and reduces it again
     lowered = [(a - Fraction(1, k), b - Fraction(1, k)) for a, b in lines]
     _same(Envelope.of(lines + lowered + lines), e)
-    _same(_canonical([(x * k, y * k) for x, y in e.arc], e.scale * k), e)
+    _same(Envelope.from_grid([(x * k, y * k) for x, y in e.arc], e.scale * k), e)
     _same(Envelope.of(e.lines), e)
     _same(tmax(e, e), e)
     _same(tplus(e, Envelope.zero()), e)

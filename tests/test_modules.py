@@ -66,3 +66,20 @@ def test_field_checks_go_through_same_field():
             and sum(map(_is_field_d, [node.left, *node.comparators])) >= 2
         ]
     assert found == []
+
+
+def test_fractions_only_in_views_and_at_the_wire():
+    # the kernels, generators and readers work on integers over a denominator
+    allowed = {"quadfield.py", "polygeom.py", "envelope.py", "wire.py"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "fractions" in names and path.name not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,6 +1,7 @@
 """Polygon semiring laws, generator decompositions, and the membership dichotomy."""
 
 import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -29,8 +30,9 @@ from tropigon import (
     stalk_scale,
 )
 from tropigon.errors import NotProper, WrongField, ZeroInput
-from tropigon.polygeom import _orbit_expand, convex_hull
+from tropigon.polygeom import _covers, _orbit_expand, convex_hull, to_grid
 from tropigon.quadfield import PlanePoint
+from tropigon.selftest import random_polygon
 
 fields = st.sampled_from([field(d) for d in HEEGNER_DS])
 small = st.integers(-4, 4)
@@ -329,7 +331,7 @@ def rational_polygons(draw, f=None):
     ff = f if f is not None else draw(fields)
     coord = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     pts = [PlanePoint(draw(coord), draw(coord)) for _ in range(draw(st.integers(1, 3)))]
-    pts = [p for p in pts if not p.is_origin()] + [ff.one.plane(), ff.omega.plane()]
+    pts = [p for p in pts if (p.x, p.y) != (0, 0)] + [ff.one.plane(), ff.omega.plane()]
     return SymPolygon.from_points(ff, pts)
 
 
@@ -394,7 +396,7 @@ def _old_contains(p, pt):
     if p.tag == EMPTY:
         return False
     if p.tag == ZERO:
-        return pt.is_origin()
+        return (pt.x, pt.y) == (0, 0)
     scale, hull = _old_grid(p)
     px, py = pt.x * scale, pt.y * scale
     n = len(hull)
@@ -427,13 +429,25 @@ def _old_hull_union(a, b):
     return SymPolygon.from_points(a.field, list(a.sector) + list(b.sector))
 
 
+def _cmul(p, q, d):
+    # (x1 + y1*sqrt(d)i)(x2 + y2*sqrt(d)i) on rational plane points
+    return PlanePoint(p.x * q.x - d * p.y * q.y, p.x * q.y + p.y * q.x)
+
+
 def _old_scale_act(mu, a):
     if a.tag == EMPTY:
         return a
     if mu.is_zero() or a.tag == ZERO:
         return SymPolygon.zero(a.field)
     mp = mu.plane()
-    return SymPolygon.from_points(a.field, [p.cmul(mp, a.field.d) for p in a.sector])
+    return SymPolygon.from_points(a.field, [_cmul(p, mp, a.field.d) for p in a.sector])
+
+
+def _contains_point(a, pt):
+    # the point test of the removed SymPolygon.contains, on the kernel contains_polygon uses
+    if a.tag != PROPER:
+        return a.tag == ZERO and (pt.x, pt.y) == (0, 0)
+    return _covers(a.hull, a.scale, *to_grid([(pt.x, pt.y)]))
 
 
 @st.composite
@@ -449,7 +463,7 @@ def test_contains_matches_the_fraction_kernel(ab, x, y):
     assert a.contains_polygon(b) == _old_contains_polygon(a, b)
     assert b.contains_polygon(a) == _old_contains_polygon(b, a)
     for pt in [PlanePoint(x, y), *b.orbit_points()]:
-        assert a.contains(pt) == _old_contains(a, pt)
+        assert _contains_point(a, pt) == _old_contains(a, pt)
 
 
 @given(mixed_pairs())
@@ -572,3 +586,44 @@ def test_kernels_match_the_branchy_oracles(d, data):
     _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
     _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
     assert a.tag == (EMPTY if not a.hull else ZERO if a.hull == ((0, 0),) else PROPER)
+
+
+# The selftest generator as it was before it built from integer affixes: each
+# element went through plane() and from_points.
+
+
+def _old_random_polygon(rng, f, span=3, degenerate_rate=0.1):
+    r = rng.random()
+    if r < degenerate_rate / 2:
+        return SymPolygon.empty(f)
+    if r < degenerate_rate:
+        return SymPolygon.zero(f)
+    while True:
+        pts = [
+            QuadInt(f, rng.randint(-span, span), rng.randint(-span, span))
+            for _ in range(rng.randint(1, 3))
+        ]
+        plane = [p.plane() for p in pts if not p.is_zero()]
+        if not plane:
+            continue
+        try:
+            return SymPolygon.from_points(f, plane)
+        except NotProper:
+            continue
+
+
+@given(fields, st.integers(0, 2**64), st.integers(1, 4), st.sampled_from([0.0, 0.1, 0.25]))
+def test_random_polygon_matches_the_plane_generator(f, seed, span, rate):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        _same_stored_form(random_polygon(new, f, span, rate), _old_random_polygon(old, f, span, rate))
+    assert new.getstate() == old.getstate()
+
+
+@given(fields, st.lists(st.tuples(small, small), max_size=3))
+def test_affix_grid_matches_the_plane_route(f, coords):
+    # dk, random_polygon and the selftest counterexamples build from affixes over field.case
+    qs = [QuadInt(f, a, b) for a, b in coords] + [f.one, f.omega]
+    want = SymPolygon.from_points(f, [q.plane() for q in qs])
+    _same_stored_form(SymPolygon.from_grid(f, [q.affix() for q in qs], f.case), want)
+    _same_stored_form(dk(f), SymPolygon.from_points(f, [f.one.plane(), f.omega.plane()]))

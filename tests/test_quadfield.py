@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tropigon import HEEGNER_DS, QuadInt, QuadRat, field, gcd
 from tropigon.errors import BothZero, DivByZero, FieldMismatch, ZeroInput
-from tropigon.quadfield import canonical_unit_rep, div_exact, divides
+from tropigon.quadfield import PlanePoint, canonical_unit_rep, div_exact, divides, from_affix
 
 EUCLIDEAN_DS = (1, 2, 3, 7, 11)
 
@@ -130,14 +130,38 @@ def test_norm_and_conj_are_multiplicative(xy):
     assert (x + y).trace() == x.trace() + y.trace()
 
 
+def _cmul(p, q, d):
+    # (x1 + y1*sqrt(d)i)(x2 + y2*sqrt(d)i) on rational plane points
+    return PlanePoint(p.x * q.x - d * p.y * q.y, p.x * q.y + p.y * q.x)
+
+
 @given(quadints())
 def test_embedding_is_exact(x):
     # plane() encodes a + b*omega as (x, y) meaning x + y*sqrt(d)*i
     p = x.plane()
     d = x.field.d
-    sq = p.cmul(p, d)
-    assert sq == (x * x).plane()
-    assert p.abs2(d) == x.norm()
+    assert _cmul(p, p, d) == (x * x).plane()
+    assert p.x * p.x + d * p.y * p.y == x.norm()
+
+
+def _old_plane(x):
+    # the plane point as written out per case before affix() held the map
+    if x.field.case == 1:
+        return PlanePoint(Fraction(x.a), Fraction(x.b))
+    return PlanePoint(Fraction(2 * x.a + x.b, 2), Fraction(x.b, 2))
+
+
+@given(quadints(), coords, coords, st.integers(1, 6))
+def test_affix_round_trip(x, u, v, s):
+    f, c = x.field, x.field.case
+    ax, ay = x.affix()
+    old = _old_plane(x)
+    assert x.plane() == old == PlanePoint(Fraction(ax, c), Fraction(ay, c))
+    assert QuadRat.make(x, s).plane() == PlanePoint(old.x / s, old.y / s)
+    assert from_affix(f, ax, ay) == x * c
+    # from_affix inverts the map on every integer point over every scale
+    assert QuadRat.make(from_affix(f, u, v), s).plane() == PlanePoint(Fraction(u, s), Fraction(v, s))
+    assert from_affix(f, u, v).affix() == (c * u, c * v)
 
 
 @given(quadints())

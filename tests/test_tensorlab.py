@@ -38,7 +38,8 @@ from tropigon import (
 )
 from tropigon import wire
 from tropigon.errors import OutOfDomain, WrongField
-from tropigon.tensorlab import _exceeds_somewhere, _sorted_pairs
+from tropigon.selftest import _lowered
+from tropigon.tensorlab import _exceeds_somewhere, _sorted_pairs, random_envelope
 
 F1 = field(1)
 
@@ -438,3 +439,38 @@ def test_corpus_replays_exactly():
         assert (normalize(a) == normalize(b)) == rec["normalize_equal"]
         # serialization round-trips through the wire form
         assert wire.tensor_from_json(wire.tensor_to_json(a)) == a
+
+
+# ---------------------------------------------------- generators, as they were
+
+
+def _old_random_envelope(rng, max_lines=3, span=4):
+    lines = []
+    for _ in range(rng.randint(1, max_lines)):
+        den = rng.choice((1, 1, 2))
+        lines.append(
+            (Fraction(rng.randint(-span, span), den), Fraction(rng.randint(-span, span), den))
+        )
+    return Envelope.of(lines)
+
+
+def _old_lowered(rng, e):
+    return Envelope.of([(a - rng.randint(1, 3), b - rng.randint(1, 3)) for a, b in e.lines])
+
+
+@given(st.integers(0, 2**64), st.integers(1, 6), st.integers(0, 6))
+def test_random_envelope_matches_the_fraction_generator(seed, max_lines, span):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        got, want = random_envelope(new, max_lines, span), _old_random_envelope(old, max_lines, span)
+        assert (got.scale, got.arc) == (want.scale, want.arc)
+    assert new.getstate() == old.getstate()
+
+
+@given(st.integers(0, 2**64), st.integers(0, 2**64))
+def test_lowered_matches_the_fraction_version(seed, draw_seed):
+    e = random_envelope(random.Random(seed), max_lines=5)
+    new, old = random.Random(draw_seed), random.Random(draw_seed)
+    got, want = _lowered(new, e), _old_lowered(old, e)
+    assert (got.scale, got.arc) == (want.scale, want.arc)
+    assert new.getstate() == old.getstate()
