@@ -7,11 +7,19 @@ unreadable or unwritable file, 3 internal error (traceback on stderr); each
 error prints a one-line JSON object describing it.  141 (128 + SIGPIPE): the
 reader closed stdout early, and nothing more is printed.
 
-Flags that size the work are capped, and a larger value exits 2 with kind
-malformed-input: `primes --bound` at MAX_PRIME_BOUND, `tensor experiment
---bound` at MAX_EXPERIMENT_SAMPLES and `tensor --witness-bound` at
-MAX_WITNESS_BOUND.  So is the `"bound"` of an `adele` section, at
-MAX_PRIME_BOUND.
+Each input that sizes the work has a cap, and past it the request exits 2:
+
+    input                                  cap                               kind
+    primes --bound                         MAX_PRIME_BOUND                   malformed-input
+    tensor experiment --bound              MAX_EXPERIMENT_SAMPLES            malformed-input
+    tensor --witness-bound                 MAX_WITNESS_BOUND                 malformed-input
+    "bound" of an adele section            MAX_PRIME_BOUND                   malformed-input
+    "p" of a named prime                   wire.MAX_NAMED_PRIME              malformed-input
+    member/stalk search norm bound         polygeom.MAX_MEMBERSHIP_NORM      out-of-budget
+    member/stalk search reached polygons   polygeom.MAX_MEMBERSHIP_NODES     out-of-budget
+
+The last two hold for d not in {1, 3}, where membership is a breadth-first
+search.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .adelic import (
     section_violation,
 )
 from .envelope import phi, phi_inv
-from .errors import DomainError, MalformedInput
+from .errors import DomainError, MalformedInput, OutOfBudget
 from .polygeom import hull_union, membership_in_generated, minkowski_sum, scale_act, stalk_scale
 from .quadfield import Field
 from .render import render_polygon_svg
@@ -353,6 +361,9 @@ def _run(args) -> int:
         return _HANDLERS[args.cmd](args)
     except MalformedInput as exc:
         print(wire.dumps({"error": str(exc), "kind": "malformed-input"}))
+        return 2
+    except OutOfBudget as exc:
+        print(wire.dumps({"error": str(exc), "kind": "out-of-budget"}))
         return 2
     except DomainError as exc:
         kind = re.sub(r"(?<!^)(?=[A-Z])", "-", exc.__class__.__name__).lower()

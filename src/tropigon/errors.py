@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-DomainError subclasses map to CLI exit code 1, MalformedInput to exit code 2,
-and CheckFailed, a broken internal invariant, to exit code 3.
+DomainError subclasses map to CLI exit code 1, MalformedInput and
+OutOfBudget to exit code 2, and CheckFailed, a broken internal invariant, to
+exit code 3.
 """
 
 
@@ -57,6 +58,10 @@ class InvalidSection(DomainError):
 
 class MalformedInput(TropigonError):
     pass
+
+
+class OutOfBudget(TropigonError):
+    """A search that would pass one of its fixed caps."""
 
 
 class CheckFailed(TropigonError):

@@ -22,12 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .errors import NotLattice, NotProper, WrongField, ZeroInput
+from .errors import NotLattice, NotProper, OutOfBudget, WrongField, ZeroInput
 from .quadfield import Field, PlanePoint, QuadInt, QuadRat, from_affix, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
 PROPER = "proper"
+
+# Caps on the membership search for d not in {1, 3}: the norm bound of its
+# candidate enumeration, and the number of polygons it may reach.  Past either
+# one it raises OutOfBudget.
+MAX_MEMBERSHIP_NORM = 400
+MAX_MEMBERSHIP_NODES = 2_000
 
 
 def to_grid(pairs):
@@ -84,6 +90,20 @@ def _orbit_expand(f: Field, pts, scale):
         pts = [q for x, y in pts for q in ((2 * x, 2 * y), (x - 3 * y, x + y), (-x - 3 * y, x - y))]
         scale *= 2
     return {q for x, y in pts for q in ((x, y), (-x, -y))}, scale
+
+
+def _edge_normals(hull):
+    # the primitive outward normal of each edge hull[i] -> hull[i + 1] of a CCW hull
+    out = []
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        g = math.gcd(bx - ax, by - ay)
+        out.append(((by - ay) // g, (ax - bx) // g))
+    return out
+
+
+def _upper(n):
+    # the one of n, -n that is lexicographically positive
+    return n if n > (0, 0) else (-n[0], -n[1])
 
 
 def _covers(hull, s: int, pts, t: int) -> bool:
@@ -284,6 +304,8 @@ def membership_in_generated(
 
     # breadth-first closure over Minkowski sums of admissible generators
     bound = max(s.norm() for s in sector_ints)
+    if bound > MAX_MEMBERSHIP_NORM:
+        raise OutOfBudget(f"membership search norm bound {bound} is over {MAX_MEMBERSHIP_NORM}")
     cand: list[tuple[QuadInt, SymPolygon]] = []
     for m in enumerate_norm_le(f, bound):
         if not m.in_sector():
@@ -292,29 +314,71 @@ def membership_in_generated(
         if scaled.contains_polygon(q):
             cand.append((m, q))
 
+    # Each node is a polygon's integer support vector over a direction set N:
+    # the primitive outward edge normals of `scaled` (first, so that `limit`
+    # is a prefix of N) and of every candidate, then for each vertex v of
+    # `scaled` the sum n1 + n2 of the normals of its two edges.  The values
+    # are integers over L, the lcm of all the scales.  This is exact:
+    # - support functions add, h_{A+B} = h_A + h_B, so a child is the sum of
+    #   its parent's vector and its candidate's;
+    # - a Minkowski sum's edge normals are the union of its summands', so
+    #   each reached polygon is the intersection of its half-planes over N,
+    #   and two reached polygons are equal exactly when their vectors are;
+    # - `scaled` is the intersection of its own half-planes, so a polygon
+    #   lies in it exactly when its vector is <= `limit` at those normals;
+    # - n1 + n2 lies strictly inside v's normal cone, where v is the only
+    #   maximiser over `scaled`, so a polygon inside `scaled` contains v
+    #   exactly when it is tight there: its h at n1 + n2 equals `scaled`'s;
+    # - the hull of the reached polygons is `scaled` exactly when every
+    #   vertex of `scaled` lies in one of them, as the extreme points of a
+    #   hull lie in the union;
+    # - every polygon here is symmetric under -1, so h(-n) = h(n), and N
+    #   keeps each direction only up to sign (`_upper`).
+    # So the queue order, the first multiset per node and the answer are
+    # those of the search on polygons, and no polygon is built per node.
+    from operator import add, le
+
+    own = _edge_normals(scaled.hull)
+    corners = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in zip(own[-1:] + own[:-1], own)]
+    walls = list(dict.fromkeys(map(_upper, own)))
+    others = [n for _, q in cand for n in _edge_normals(q.hull)] + corners
+    dirs = list(dict.fromkeys(walls + [_upper(n) for n in others]))
+    big = math.lcm(scaled.scale, *(q.scale for _, q in cand))
+
+    def support(a: SymPolygon) -> tuple[int, ...]:
+        k = big // a.scale
+        return tuple(max(nx * x + ny * y for x, y in a.hull) * k for nx, ny in dirs)
+
+    top = support(scaled)
+    limit = top[: len(walls)]
+    tips = dict.fromkeys(dirs.index(_upper(c)) for c in corners)
+    vecs = [(m, support(q)) for m, q in cand]
+
     def mkey(m: QuadInt):
         return (m.a, m.b)
 
-    seen: dict[SymPolygon, tuple[QuadInt, ...]] = {}
+    seen: dict[tuple[int, ...], tuple[QuadInt, ...]] = {}
     queue = deque()
-    for m, q in cand:
-        if q not in seen:
-            seen[q] = (m,)
-            queue.append(q)
+
+    def reach(v: tuple[int, ...], ms: tuple[QuadInt, ...]):
+        seen[v] = ms
+        queue.append(v)
+        if len(seen) > MAX_MEMBERSHIP_NODES:
+            raise OutOfBudget(f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes")
+
+    for m, v in vecs:
+        if v not in seen:
+            reach(v, (m,))
     while queue:
         cur = queue.popleft()
         ms = seen[cur]
-        for m, q in cand:
-            nxt = minkowski_sum(cur, q)
-            if nxt in seen or not scaled.contains_polygon(nxt):
+        for m, v in vecs:
+            nxt = tuple(map(add, cur, v))
+            if nxt in seen or not all(map(le, nxt, limit)):
                 continue
-            seen[nxt] = tuple(sorted(ms + (m,), key=mkey))
-            queue.append(nxt)
+            reach(nxt, tuple(sorted(ms + (m,), key=mkey)))
 
-    union = SymPolygon.empty(f)
-    for q in seen:
-        union = hull_union(union, q)
-    if union != scaled:
+    if not all(any(v[i] == top[i] for v in seen) for i in tips):
         return False, None
     dec = GeneratorDecomposition(tuple(tuple(g * m for m in ms) for ms in seen.values()))
     return True, dec

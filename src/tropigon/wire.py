@@ -33,6 +33,9 @@ from .quadfield import (
 )
 from .tensorlab import FormalTensor
 
+# primes_above scans range(p), about 2 s at this cap
+MAX_NAMED_PRIME = 10**7
+
 
 def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -151,6 +154,7 @@ def prime_from_json(f: Field, data) -> PrimeIdeal:
     _expect({"p", "kind", "gen"} <= set(v), 'prime needs "p", "kind", "gen"')
     p = _as_int(v["p"], "p")
     _expect(p >= 2, "p must be >= 2")
+    _expect(p <= MAX_NAMED_PRIME, f"p must be <= {MAX_NAMED_PRIME}")
     gen = quadint_from_json(f, v["gen"])
     _expect(not gen.is_zero(), "prime generator must be nonzero")
     try:

@@ -8,6 +8,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
+from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
+from tropigon.wire import MAX_NAMED_PRIME
 
 CMD = [sys.executable, "-m", "tropigon.cli"]
 
@@ -256,6 +258,57 @@ def test_reduce_at_the_witness_cap():
     x = {"a": {"pairs": [[ENV_SQ, ENV_SQ]]}, "b": {"pairs": [[ENV_SQ, ENV_SQ]]}}
     code, (out,) = run_json(["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)], {"x": x, "y": x})
     assert code == 0 and out["status"] == "equal"
+
+
+def _named_prime(p):
+    prime = {"p": p, "kind": "inert", "gen": [p, 0]}
+    return {"op": "module", "vector": {"exps": [[prime, 1]], "free": []}}
+
+
+def _rhombus(a, b):
+    # the d = 2 polygon through a + b*omega and 1 (or omega when b = 0), in a stalk at 1 + omega
+    other = [0, 1, 1, 1] if b == 0 else [1, 1, 0, 1]
+    return {"polygon": {"field": 2, "tag": "proper", "sector": [[a, 1, b, 1], other]}, "k": [1, 1]}
+
+
+def _family(n):
+    # n*D_K + (D_K u (1 + omega)*D_K) over d = 2
+    sector = [[n + 1, 1, 1, 1], [1, 1, n + 1, 1], [-2, 1, n + 1, 1], [-n - 2, 1, 1, 1]]
+    return {"field": 2, "tag": "proper", "sector": sector}
+
+
+# One row per cap on an input that sizes work: the largest allowed input
+# answers within the timeout, and one step past the cap exits 2.
+WORK_CAPS = [
+    # both primes are inert in Z[i], and primes_above scans range(p)
+    pytest.param(
+        ["adele", "--field", "1"], _named_prime(9_999_991), _named_prime(10_000_019),
+        {"error": f"p must be <= {MAX_NAMED_PRIME}", "kind": "malformed-input"},
+        id="named-prime",
+    ),
+    # norm 400 for 20, norm 401 for 3 + 14*omega
+    pytest.param(
+        ["stalk"], _rhombus(20, 0), _rhombus(3, 14),
+        {"error": f"membership search norm bound 401 is over {MAX_MEMBERSHIP_NORM}", "kind": "out-of-budget"},
+        id="membership-norm",
+    ),
+    # the search reaches 1664 polygons at n = 10, and more than the budget at n = 11
+    pytest.param(
+        ["member"], _family(10), _family(11),
+        {"error": f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes", "kind": "out-of-budget"},
+        id="membership-nodes",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, largest, past, refusal", WORK_CAPS)
+def test_work_caps(args, largest, past, refusal):
+    code, out, err = run(args, json.dumps(largest), timeout=15)
+    assert code == 0, err
+    assert "error" not in json.loads(out)
+    code, out, _ = run(args, json.dumps(past), timeout=15)
+    assert code == 2
+    assert json.loads(out) == refusal
 
 
 # ---------------------------------------------------------------------- adele

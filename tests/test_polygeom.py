@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -29,9 +30,17 @@ from tropigon import (
     sector_decompose,
     stalk_scale,
 )
+from tropigon import wire
 from tropigon.errors import NotProper, WrongField, ZeroInput
-from tropigon.polygeom import _covers, _orbit_expand, convex_hull, to_grid
-from tropigon.quadfield import PlanePoint
+from tropigon.polygeom import (
+    GeneratorDecomposition,
+    _covers,
+    _orbit_expand,
+    convex_hull,
+    enumerate_norm_le,
+    to_grid,
+)
+from tropigon.quadfield import PlanePoint, gcd
 from tropigon.selftest import random_polygon
 
 fields = st.sampled_from([field(d) for d in HEEGNER_DS])
@@ -627,3 +636,148 @@ def test_affix_grid_matches_the_plane_route(f, coords):
     want = SymPolygon.from_points(f, [q.plane() for q in qs])
     _same_stored_form(SymPolygon.from_grid(f, [q.affix() for q in qs], f.case), want)
     _same_stored_form(dk(f), SymPolygon.from_points(f, [f.one.plane(), f.omega.plane()]))
+
+
+# ---------------------------------------------------- membership on polygons
+# The breadth-first search as it was before it ran on integer support vectors:
+# every node is a SymPolygon, built by minkowski_sum and tested by
+# contains_polygon, and the answer is the hull of everything it reached.
+
+
+def _old_membership(p, gens=None):
+    f = p.field
+    if gens is None:
+        gens = [QuadRat.from_int(f, 1)]
+    if p.tag == EMPTY:
+        return True, GeneratorDecomposition(())
+    nonzero = [h for h in gens if not h.is_zero()]
+    zero_rat = QuadRat.from_int(f, 0)
+    if p.tag == ZERO:
+        return True, GeneratorDecomposition(((zero_rat,),))
+    if not nonzero:
+        return False, None
+
+    den = math.lcm(*[h.den for h in nonzero])
+    g0 = nonzero[0].num * (den // nonzero[0].den)
+    for h in nonzero[1:]:
+        g0, _, _ = gcd(g0, h.num * (den // h.den))
+    g = QuadRat.make(g0, den)
+
+    scaled = scale_act(g.inverse(), p)
+    if any(q.den != 1 for q in scaled.sector_elements):
+        return False, None
+    sector_ints = [q.num for q in scaled.sector_elements]
+
+    base = dk(f)
+    covered = SymPolygon.empty(f)
+    for s in sector_ints:
+        covered = hull_union(covered, scale_act(QuadRat(s, 1), base))
+    if covered == scaled:
+        return True, GeneratorDecomposition(tuple((g * s,) for s in sector_ints))
+    if f.d in (1, 3):
+        return False, None
+
+    bound = max(s.norm() for s in sector_ints)
+    cand = []
+    for m in enumerate_norm_le(f, bound):
+        if not m.in_sector():
+            continue
+        q = scale_act(QuadRat(m, 1), base)
+        if scaled.contains_polygon(q):
+            cand.append((m, q))
+
+    seen = {}
+    queue = deque()
+    for m, q in cand:
+        if q not in seen:
+            seen[q] = (m,)
+            queue.append(q)
+    while queue:
+        cur = queue.popleft()
+        ms = seen[cur]
+        for m, q in cand:
+            nxt = minkowski_sum(cur, q)
+            if nxt in seen or not scaled.contains_polygon(nxt):
+                continue
+            seen[nxt] = tuple(sorted(ms + (m,), key=lambda x: (x.a, x.b)))
+            queue.append(nxt)
+
+    union = SymPolygon.empty(f)
+    for q in seen:
+        union = hull_union(union, q)
+    if union != scaled:
+        return False, None
+    return True, GeneratorDecomposition(tuple(tuple(g * m for m in ms) for ms in seen.values()))
+
+
+BFS_DS = (2, 7, 11, 19, 43, 67, 163)
+span3 = st.integers(-3, 3)
+
+
+def _same_membership(p, gens=None):
+    ok, dec = membership_in_generated(p, gens)
+    old_ok, old_dec = _old_membership(p, gens)
+    assert ok is old_ok
+    assert wire.dumps(wire.decomposition_to_json(dec)) == wire.dumps(wire.decomposition_to_json(old_dec))
+    if ok:
+        assert dec.replay(p.field) == p
+    return ok, dec
+
+
+@st.composite
+def bfs_requests(draw):
+    # a polygon over a field where membership runs the search, with a norm
+    # bound under MAX_MEMBERSHIP_NORM, and maybe a generator that the
+    # polygon is scaled by
+    if draw(st.booleans()):
+        # at most 387, for 3 + 3*omega and d = 163
+        f = field(draw(st.sampled_from(BFS_DS)))
+        coords = draw(st.lists(st.tuples(span3, span3).filter(any), min_size=1, max_size=3))
+        grid = [QuadInt(f, a, b).affix() for a, b in coords]
+        try:
+            p = SymPolygon.from_grid(f, grid, f.case)
+        except NotProper:
+            p = SymPolygon.from_grid(f, grid + [f.one.affix(), f.omega.affix()], f.case)
+    else:
+        # the hull of sums of small generators, a member by construction; at
+        # most 315 for d <= 19, from 3*(1 + omega)*omega
+        f = field(draw(st.sampled_from(BFS_DS[:4])))
+        unit = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).filter(any)
+        p = SymPolygon.empty(f)
+        for ms in draw(st.lists(st.lists(unit, min_size=1, max_size=3), min_size=1, max_size=3)):
+            term = SymPolygon.zero(f)
+            for a, b in ms:
+                term = minkowski_sum(term, scale_act(QuadRat(QuadInt(f, a, b), 1), dk(f)))
+            p = hull_union(p, term)
+    if not draw(st.booleans()):
+        return p, None
+    num = QuadInt(f, *draw(st.tuples(span3, span3).filter(any)))
+    k = QuadRat.make(num, draw(st.integers(1, 3)))
+    return scale_act(k, p), [k]
+
+
+@given(bfs_requests())
+def test_membership_matches_the_polygon_search(request):
+    _same_membership(*request)
+
+
+def _family(d, n):
+    f = field(d)
+    side = hull_union(dk(f), scale_act(QuadRat(f.one + f.omega, 1), dk(f)))
+    return minkowski_sum(scale_act(QuadRat.from_int(f, n), dk(f)), side)
+
+
+@pytest.mark.parametrize("d", [2, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_growth_family_matches_the_polygon_search(d, n):
+    ok, dec = _same_membership(_family(d, n))
+    assert ok and len(dec.summand_sets) > n
+
+
+@pytest.mark.parametrize("d", BFS_DS)
+def test_counterexamples_match_the_polygon_search(d):
+    f = field(d)
+    long_vertex = QuadInt(f, 3 if d == 2 else 2, 0)
+    ok, _ = _same_membership(SymPolygon.from_grid(f, [long_vertex.affix(), f.omega.affix()], f.case))
+    assert not ok
+
