@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import (
     InvalidSection,
     MalformedInput,
+    OutOfBudget,
     OutOfDomain,
     ZeroInput,
     ZeroModule,
@@ -69,9 +70,14 @@ def _ideal_gen(f: Field, p: int, r: int) -> QuadInt:
     return g
 
 
+# primes_above scans range(p), about 2 s at this cap; it bounds a named prime
+# and the sum of the primes that a module generator's support asks for
+MAX_NAMED_PRIME = 10**7
+
+
 @lru_cache(maxsize=4096)
 def primes_above(f: Field, p: int) -> tuple[PrimeIdeal, ...]:
-    if _prime_factors(p) != [p]:
+    if _prime_factors(p)[0] != [p]:
         raise OutOfDomain(f"{p} is not a rational prime")
     tr, nm = f.trace_omega, f.norm_omega
     roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]
@@ -122,11 +128,11 @@ def valuation(q: QuadRat, prime: PrimeIdeal) -> int:
     return v - k * prime.ram_index
 
 
+@cache
 def complementary_generator(f: Field) -> QuadRat:
-    # delta with (delta) = {x : tr(x*O_K) in Z}; tr(delta) = 0, tr(delta*omega) = 1
-    if f.case == 1:
-        return QuadRat.make(QuadInt(f, 0, -1), 2 * f.d)
-    return QuadRat.make(QuadInt(f, 1, -2), f.d)
+    # delta with (delta) = {x : tr(x*O_K) in Z}: the inverse different,
+    # 1/P'(omega) = 1/(omega - conj(omega)) for omega's minimal polynomial P
+    return QuadRat.from_int(f, 1) / (f.omega - f.omega.conj())
 
 
 def _unit_canonical_rat(q: QuadRat) -> QuadRat:
@@ -185,8 +191,12 @@ def _keyed_primes(f: Field, pairs, what: str, keep) -> tuple:
     return tuple(items)
 
 
-def _prime_factors(n: int, upto: int | None = None) -> list[int]:
-    """The distinct prime factors of n, ascending; with upto, only those <= upto."""
+def _prime_factors(n: int, upto: int | None = None) -> tuple[list[int], int]:
+    """The distinct prime factors of n, ascending; with upto, only those <= upto.
+
+    Also returns the cofactor left over: 1, or the part of |n| whose prime
+    factors all lie above upto.
+    """
     n = abs(n)
     if upto is None:
         upto = n
@@ -201,13 +211,19 @@ def _prime_factors(n: int, upto: int | None = None) -> list[int]:
     # what is left is 1, a prime, or has only prime factors above upto
     if 1 < n <= upto:
         out.append(n)
-    return out
+        n = 1
+    return out, n
 
 
 def support_primes(q: QuadRat) -> list[PrimeIdeal]:
     # every prime where v(q) could be nonzero lies above norm(num)*den
+    ps, rest = _prime_factors(q.num.norm() * q.den, MAX_NAMED_PRIME)
+    if rest > 1:
+        raise OutOfBudget(f"norm times denominator has a prime factor over {MAX_NAMED_PRIME}")
+    if sum(ps) > MAX_NAMED_PRIME:
+        raise OutOfBudget(f"prime factors of norm times denominator sum to more than {MAX_NAMED_PRIME}")
     out: list[PrimeIdeal] = []
-    for p in _prime_factors(q.num.norm() * q.den):
+    for p in ps:
         out.extend(primes_above(q.field, p))
     return out
 
@@ -341,7 +357,7 @@ def section_violation(s: FiniteSection) -> PrimeIdeal | None:
     # only denominator primes can fail, and only at places other than the
     # component's own prime; the bound keeps the check finite
     for prime, xi in s.values:
-        for p in _prime_factors(xi.den, s.prime_bound):
+        for p in _prime_factors(xi.den, s.prime_bound)[0]:
             for q in primes_above(s.field, p):
                 if q != prime and valuation(xi, q) < 0:
                     return q

@@ -14,7 +14,11 @@ Each input that sizes the work has a cap, and past it the request exits 2:
     tensor experiment --bound              MAX_EXPERIMENT_SAMPLES            malformed-input
     tensor --witness-bound                 MAX_WITNESS_BOUND                 malformed-input
     "bound" of an adele section            MAX_PRIME_BOUND                   malformed-input
-    "p" of a named prime                   wire.MAX_NAMED_PRIME              malformed-input
+    "p" of a named prime                   adelic.MAX_NAMED_PRIME            malformed-input
+    adele vector: a prime factor of        adelic.MAX_NAMED_PRIME            out-of-budget
+      norm(num)*den of delta/generator
+    adele vector: the sum of those primes  adelic.MAX_NAMED_PRIME            out-of-budget
+    sum of |e|*bits(p) of an input vector  wire.MAX_VECTOR_BITS              malformed-input
     member/stalk search norm bound         polygeom.MAX_MEMBERSHIP_NORM      out-of-budget
     member/stalk search reached polygons   polygeom.MAX_MEMBERSHIP_NODES     out-of-budget
 
@@ -359,20 +363,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     try:
         return _HANDLERS[args.cmd](args)
-    except MalformedInput as exc:
-        print(wire.dumps({"error": str(exc), "kind": "malformed-input"}))
-        return 2
-    except OutOfBudget as exc:
-        print(wire.dumps({"error": str(exc), "kind": "out-of-budget"}))
-        return 2
-    except DomainError as exc:
+    except (DomainError, MalformedInput, OutOfBudget) as exc:
+        # the kind is the class name in kebab case: malformed-input, out-of-budget, ...
         kind = re.sub(r"(?<!^)(?=[A-Z])", "-", exc.__class__.__name__).lower()
         out = {"error": str(exc) or exc.__class__.__name__, "kind": kind}
         prime = getattr(exc, "prime", None)
         if prime is not None:
             out["prime"] = wire.prime_to_json(prime)
         print(wire.dumps(out))
-        return 1
+        return 1 if isinstance(exc, DomainError) else 2
     except BrokenPipeError:
         raise
     except Exception as exc:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import NotLattice, NotProper, OutOfBudget, WrongField, ZeroInput
-from .quadfield import Field, PlanePoint, QuadInt, QuadRat, from_affix, gcd, same_field
+from .quadfield import Field, PlanePoint, QuadInt, QuadRat, enumerate_norm_le, from_affix, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
@@ -236,24 +236,13 @@ class GeneratorDecomposition:
         return acc
 
 
-def enumerate_norm_le(f: Field, bound: int):
-    if bound < 1:
-        return
-    if f.case == 1:
-        bmax = math.isqrt(bound // f.d)
-        for b in range(-bmax, bmax + 1):
-            rest = bound - f.d * b * b
-            amax = math.isqrt(rest)
-            for a in range(-amax, amax + 1):
-                if a or b:
-                    yield QuadInt(f, a, b)
-    else:
-        bmax = math.isqrt(4 * bound // f.d)
-        for b in range(-bmax, bmax + 1):
-            t = math.isqrt(4 * bound - f.d * b * b)
-            for a in range((-b - t + 1) // 2 - 1, (t - b) // 2 + 2):
-                if (a or b) and QuadInt(f, a, b).norm() <= bound:
-                    yield QuadInt(f, a, b)
+def _sector_cover(f: Field, sector_ints) -> SymPolygon:
+    # the hull union of the s*D_K over ring elements s
+    base = dk(f)
+    acc = SymPolygon.empty(f)
+    for s in sector_ints:
+        acc = hull_union(acc, scale_act(QuadRat(s, 1), base))
+    return acc
 
 
 def membership_in_generated(
@@ -290,11 +279,7 @@ def membership_in_generated(
         return False, None
     sector_ints = [q.num for q in scaled.sector_elements]
 
-    base = dk(f)
-    covered = SymPolygon.empty(f)
-    for s in sector_ints:
-        covered = hull_union(covered, scale_act(QuadRat(s, 1), base))
-    if covered == scaled:
+    if _sector_cover(f, sector_ints) == scaled:
         dec = GeneratorDecomposition(tuple((g * s,) for s in sector_ints))
         return True, dec
     if f.d in (1, 3):
@@ -306,6 +291,7 @@ def membership_in_generated(
     bound = max(s.norm() for s in sector_ints)
     if bound > MAX_MEMBERSHIP_NORM:
         raise OutOfBudget(f"membership search norm bound {bound} is over {MAX_MEMBERSHIP_NORM}")
+    base = dk(f)
     cand: list[tuple[QuadInt, SymPolygon]] = []
     for m in enumerate_norm_le(f, bound):
         if not m.in_sector():
@@ -399,10 +385,7 @@ def sector_decompose(p: SymPolygon) -> list[QuadInt]:
 
 
 def reconstruct_lemma_polygon(p: SymPolygon) -> SymPolygon:
-    acc = SymPolygon.empty(p.field)
-    for s in sector_decompose(p):
-        acc = hull_union(acc, scale_act(QuadRat(s, 1), dk(p.field)))
-    return acc
+    return _sector_cover(p.field, sector_decompose(p))
 
 
 def global_sections_check(p: SymPolygon) -> bool:

@@ -5,6 +5,12 @@ omega = (1 + i*sqrt(d))/2 for the seven d = 3 mod 4 values.  Plane points
 (x, y) stand for the complex number x + y*sqrt(d)*i, so every sign predicate
 below is exact rational arithmetic.
 
+Every ring formula is written once, from omega's minimal polynomial
+X^2 - tr*X + nm (tr = `trace_omega`, nm = `norm_omega`): the product uses
+omega^2 = tr*omega - nm, conj(omega) = tr - omega, and the norm form is
+a^2 + tr*a*b + nm*b^2.  `Field.case` is only the denominator of the affix,
+omega = (tr + i*sqrt(d))/case.
+
 The element <-> plane-point map lives here alone, in integers: `QuadInt.affix`
 and its inverse `from_affix`.  `plane` and `PlanePoint` are rational views of
 it, kept for callers.
@@ -30,27 +36,22 @@ class Field:
         if self.d not in HEEGNER_DS:
             raise ValueError(f"d must be one of {HEEGNER_DS}, got {self.d}")
 
-    @property
+    @cached_property
     def case(self) -> int:
-        # 1: omega = i*sqrt(d); 2: omega = (1+i*sqrt(d))/2
+        # the denominator of the affix: omega = (trace_omega + i*sqrt(d))/case
         return 1 if self.d % 4 in (1, 2) else 2
 
-    @property
-    def m(self) -> int:
-        # omega^2 = omega - m in case 2
-        return (1 + self.d) // 4
-
-    @property
+    @cached_property
     def trace_omega(self) -> int:
-        return 0 if self.case == 1 else 1
+        return self.case - 1
 
-    @property
+    @cached_property
     def norm_omega(self) -> int:
-        return self.d if self.case == 1 else self.m
+        return (self.d + self.trace_omega) // self.case**2
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
-        return -4 * self.d if self.case == 1 else -self.d
+        return self.trace_omega**2 - 4 * self.norm_omega
 
     @property
     def sigma(self) -> int:
@@ -119,26 +120,21 @@ class QuadInt:
         if isinstance(other, int):
             return QuadInt(self.field, self.a * other, self.b * other)
         same_field(self, other)
+        f = self.field
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if self.field.case == 1:
-            return QuadInt(self.field, a1 * a2 - self.field.d * b1 * b2, a1 * b2 + a2 * b1)
-        m = self.field.m
-        return QuadInt(self.field, a1 * a2 - m * b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+        bb = b1 * b2
+        return QuadInt(f, a1 * a2 - f.norm_omega * bb, a1 * b2 + a2 * b1 + f.trace_omega * bb)
 
     __rmul__ = __mul__
 
     def norm(self) -> int:
-        if self.field.case == 1:
-            return self.a * self.a + self.field.d * self.b * self.b
-        return self.a * self.a + self.a * self.b + self.field.m * self.b * self.b
+        return _norm_form(self.field, self.a, self.b)
 
     def trace(self) -> int:
-        return 2 * self.a if self.field.case == 1 else 2 * self.a + self.b
+        return 2 * self.a + self.field.trace_omega * self.b
 
     def conj(self) -> QuadInt:
-        if self.field.case == 1:
-            return QuadInt(self.field, self.a, -self.b)
-        return QuadInt(self.field, self.a + self.b, -self.b)
+        return QuadInt(self.field, self.a + self.field.trace_omega * self.b, -self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -148,9 +144,7 @@ class QuadInt:
 
     def affix(self) -> tuple[int, int]:
         """The plane point (x, y), meaning x + y*sqrt(d)*i, as integers over `field.case`."""
-        if self.field.case == 1:
-            return self.a, self.b
-        return 2 * self.a + self.b, self.b
+        return self.field.case * self.a + self.field.trace_omega * self.b, self.b
 
     def plane(self) -> PlanePoint:
         """The rational view of `affix`, kept for callers that read plane points."""
@@ -280,9 +274,7 @@ def divides(y: QuadInt, x: QuadInt) -> bool:
 
 def from_affix(f: Field, x: int, y: int) -> QuadInt:
     """The element over scale s whose affix is (x, y) over s: the inverse of `QuadInt.affix`."""
-    if f.case == 1:
-        return QuadInt(f, x, y)
-    return QuadInt(f, x - y, 2 * y)
+    return QuadInt(f, x - f.trace_omega * y, f.case * y)
 
 
 @dataclass(frozen=True)
@@ -293,8 +285,25 @@ class PlanePoint:
     y: Fraction
 
 
-def _norm_vec(f: Field, v: tuple[int, int]) -> int:
-    return QuadInt(f, v[0], v[1]).norm()
+def _norm_form(f: Field, a: int, b: int) -> int:
+    return a * (a + f.trace_omega * b) + f.norm_omega * b * b
+
+
+def enumerate_norm_le(f: Field, bound: int):
+    """Every nonzero element of norm <= bound, b ascending, then a ascending.
+
+    4*N(a + b*omega) = (2a + tr*b)^2 + D*b^2 with D = -discriminant, so the
+    norm is <= bound exactly when |2a + tr*b| <= isqrt(4*bound - D*b^2).
+    """
+    if bound < 1:
+        return
+    tr, disc = f.trace_omega, -f.discriminant
+    bmax = math.isqrt(4 * bound // disc)
+    for b in range(-bmax, bmax + 1):
+        t = math.isqrt(4 * bound - disc * b * b)
+        for a in range(-((t + tr * b) // 2), (t - tr * b) // 2 + 1):
+            if a or b:
+                yield QuadInt(f, a, b)
 
 
 def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
@@ -349,14 +358,14 @@ def gcd(x: QuadInt, y: QuadInt) -> tuple[QuadInt, QuadInt, QuadInt]:
 
     (u, cu), (v, cv) = basis
     # Lagrange-Gauss under the norm form (the inner product may be half-integral)
-    if _norm_vec(f, u) > _norm_vec(f, v):
+    if _norm_form(f, *u) > _norm_form(f, *v):
         u, v, cu, cv = v, u, cv, cu
     while True:
         # floor(B(u, v)/N(u) + 1/2) in integers, as 2*B(u, v) = N(u+v) - N(u) - N(v)
-        mu = (_norm_vec(f, (u[0] + v[0], u[1] + v[1])) - _norm_vec(f, v)) // (2 * _norm_vec(f, u))
+        mu = (_norm_form(f, u[0] + v[0], u[1] + v[1]) - _norm_form(f, *v)) // (2 * _norm_form(f, *u))
         v = (v[0] - mu * u[0], v[1] - mu * u[1])
         cv = (cv[0] - mu * cu[0], cv[1] - mu * cu[1])
-        if _norm_vec(f, v) >= _norm_vec(f, u):
+        if _norm_form(f, *v) >= _norm_form(f, *u):
             break
         u, v, cu, cv = v, u, cv, cu
 

@@ -36,7 +36,6 @@ from .polygeom import (
     ZERO,
     SymPolygon,
     dk,
-    enumerate_norm_le,
     global_sections_check,
     hull_union,
     membership_in_generated,
@@ -44,7 +43,7 @@ from .polygeom import (
     scale_act,
     stalk_scale,
 )
-from .quadfield import HEEGNER_DS, QuadInt, QuadRat, canonical_unit_rep, field
+from .quadfield import HEEGNER_DS, QuadInt, QuadRat, canonical_unit_rep, enumerate_norm_le, field
 from .tensorlab import (
     DISTINCT,
     EQUAL,

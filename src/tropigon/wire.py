@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 
 from .adelic import (
+    MAX_NAMED_PRIME,
     FiniteSection,
     LOCALIZED,
     ModuleHandle,
@@ -33,8 +34,10 @@ from .quadfield import (
 )
 from .tensorlab import FormalTensor
 
-# primes_above scans range(p), about 2 s at this cap
-MAX_NAMED_PRIME = 10**7
+# the sum of |e| * bit length of p over a vector's exponents: a vector's
+# generator then has about this many bits, and an iso witness of two vectors
+# stays under 2500 digits, below Python's 4300-digit int-to-str limit
+MAX_VECTOR_BITS = 4096
 
 
 def dumps(data) -> str:
@@ -182,6 +185,8 @@ def vector_from_json(f: Field, data) -> ValuationVector:
         e = as_list(entry, "exponent entry")
         _expect(len(e) == 2, "exponent entry must be [prime, e]")
         exps.append((prime_from_json(f, e[0]), _as_int(e[1], "exponent")))
+    bits = sum(abs(e) * prime.p.bit_length() for prime, e in exps)
+    _expect(bits <= MAX_VECTOR_BITS, f"sum of |e| * bit length of p must be <= {MAX_VECTOR_BITS}")
     free = [prime_from_json(f, entry) for entry in as_list(v.get("free", []), "free")]
     return ValuationVector.make(f, exps, free)
 

@@ -42,6 +42,7 @@ from tropigon.errors import (
     FieldMismatch,
     InvalidSection,
     MalformedInput,
+    OutOfBudget,
     OutOfDomain,
     ZeroInput,
     ZeroModule,
@@ -184,10 +185,28 @@ def test_valuation_is_additive():
             assert valuation(x * y, q) == valuation(x, q) + valuation(y, q)
 
 
+def test_support_primes_refuses_past_the_named_prime_cap():
+    # i/den over Z[i] has norm times denominator den; 103 is inert there
+    assert [q.p for q in support_primes(QuadRat.make(QuadInt(F1, 0, 1), 103))] == [103]
+    with pytest.raises(OutOfBudget, match="prime factor over"):
+        support_primes(QuadRat.make(QuadInt(F1, 0, 1), 10_000_019))
+    # 11 + 9999991 is over the cap, though each prime is under it
+    with pytest.raises(OutOfBudget, match="sum to more than"):
+        support_primes(QuadRat.make(QuadInt(F1, 0, 1), 11 * 9_999_991))
+
+
+def _old_complementary_generator(f):
+    # the closed forms per field.case, kept as an oracle for 1/(omega - conj(omega))
+    if f.case == 1:
+        return QuadRat.make(QuadInt(f, 0, -1), 2 * f.d)
+    return QuadRat.make(QuadInt(f, 1, -2), f.d)
+
+
 @pytest.mark.parametrize("d", HEEGNER_DS)
 def test_complementary_generator_identities(d):
     f = field(d)
     delta = complementary_generator(f)
+    assert delta == _old_complementary_generator(f)
     # generates the dual lattice: unit norm against the discriminant, and
     # integral traces against a basis of the ring
     n, s = delta.num, delta.den

@@ -9,7 +9,8 @@ import pytest
 
 from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
 from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
-from tropigon.wire import MAX_NAMED_PRIME
+from tropigon.adelic import MAX_NAMED_PRIME
+from tropigon.wire import MAX_VECTOR_BITS
 
 CMD = [sys.executable, "-m", "tropigon.cli"]
 
@@ -265,6 +266,15 @@ def _named_prime(p):
     return {"op": "module", "vector": {"exps": [[prime, 1]], "free": []}}
 
 
+def _generator_over(den):
+    return {"op": "vector", "module": {"kind": "principal", "gen": {"num": [1, 0], "den": den}}}
+
+
+def _power_of_three(e):
+    three = {"p": 3, "kind": "inert", "gen": [3, 0]}
+    return {"op": "module", "vector": {"exps": [[three, e]], "free": []}}
+
+
 def _rhombus(a, b):
     # the d = 2 polygon through a + b*omega and 1 (or omega when b = 0), in a stalk at 1 + omega
     other = [0, 1, 1, 1] if b == 0 else [1, 1, 0, 1]
@@ -278,37 +288,60 @@ def _family(n):
 
 
 # One row per cap on an input that sizes work: the largest allowed input
-# answers within the timeout, and one step past the cap exits 2.
+# answers within the timeout, and one step past the cap exits 2.  A row may
+# name a third input, far past the cap, that must also exit 2 in time.
 WORK_CAPS = [
     # both primes are inert in Z[i], and primes_above scans range(p)
     pytest.param(
         ["adele", "--field", "1"], _named_prime(9_999_991), _named_prime(10_000_019),
         {"error": f"p must be <= {MAX_NAMED_PRIME}", "kind": "malformed-input"},
+        None,
         id="named-prime",
+    ),
+    # the support of delta/gen lies over 2 and den; 2**61 - 1 is prime, so
+    # trial division runs up to the cap before it refuses
+    pytest.param(
+        ["adele", "--field", "1"], _generator_over(9_999_991), _generator_over(10_000_019),
+        {"error": f"norm times denominator has a prime factor over {MAX_NAMED_PRIME}", "kind": "out-of-budget"},
+        _generator_over(2**61 - 1),
+        id="module-generator",
+    ),
+    # 3 has bit length 2; at exponent 10**5 the answer would pass the int-to-str limit
+    pytest.param(
+        ["adele", "--field", "1"], _power_of_three(MAX_VECTOR_BITS // 2), _power_of_three(MAX_VECTOR_BITS // 2 + 1),
+        {"error": f"sum of |e| * bit length of p must be <= {MAX_VECTOR_BITS}", "kind": "malformed-input"},
+        _power_of_three(100_000),
+        id="vector-bits",
     ),
     # norm 400 for 20, norm 401 for 3 + 14*omega
     pytest.param(
         ["stalk"], _rhombus(20, 0), _rhombus(3, 14),
         {"error": f"membership search norm bound 401 is over {MAX_MEMBERSHIP_NORM}", "kind": "out-of-budget"},
+        None,
         id="membership-norm",
     ),
     # the search reaches 1664 polygons at n = 10, and more than the budget at n = 11
     pytest.param(
         ["member"], _family(10), _family(11),
         {"error": f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes", "kind": "out-of-budget"},
+        None,
         id="membership-nodes",
     ),
 ]
 
 
-@pytest.mark.parametrize("args, largest, past, refusal", WORK_CAPS)
-def test_work_caps(args, largest, past, refusal):
+@pytest.mark.parametrize("args, largest, past, refusal, far", WORK_CAPS)
+def test_work_caps(args, largest, past, refusal, far):
     code, out, err = run(args, json.dumps(largest), timeout=15)
     assert code == 0, err
     assert "error" not in json.loads(out)
     code, out, _ = run(args, json.dumps(past), timeout=15)
     assert code == 2
     assert json.loads(out) == refusal
+    if far is not None:
+        code, out, _ = run(args, json.dumps(far), timeout=15)
+        assert code == 2
+        assert json.loads(out)["kind"] == refusal["kind"]
 
 
 # ---------------------------------------------------------------------- adele

@@ -83,3 +83,16 @@ def test_fractions_only_in_views_and_at_the_wire():
             if "fractions" in names and path.name not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_branch_on_field_case():
+    # every ring formula comes from omega's minimal polynomial, so field.case
+    # is read only as the denominator of the affix, never compared
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "case" for x in [node.left, *node.comparators]
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,14 +1,15 @@
 """Arithmetic facts and ring axioms for the nine quadratic rings."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropigon import HEEGNER_DS, QuadInt, QuadRat, field, gcd
 from tropigon.errors import BothZero, DivByZero, FieldMismatch, ZeroInput
-from tropigon.quadfield import PlanePoint, canonical_unit_rep, div_exact, divides, from_affix
+from tropigon.quadfield import PlanePoint, canonical_unit_rep, div_exact, divides, enumerate_norm_le, from_affix
 
 EUCLIDEAN_DS = (1, 2, 3, 7, 11)
 
@@ -130,6 +131,104 @@ def test_norm_and_conj_are_multiplicative(xy):
     assert (x + y).trace() == x.trace() + y.trace()
 
 
+# The ring formulas as written before they came from omega's minimal
+# polynomial: one branch per field.case, kept as oracles.
+
+
+def _old_constants(f):
+    case = 1 if f.d % 4 in (1, 2) else 2
+    m = (1 + f.d) // 4
+    trace = 0 if case == 1 else 1
+    norm = f.d if case == 1 else m
+    disc = -4 * f.d if case == 1 else -f.d
+    return case, trace, norm, disc
+
+
+def _old_mul(x, y):
+    f, (a1, b1, a2, b2) = x.field, (x.a, x.b, y.a, y.b)
+    if f.case == 1:
+        return QuadInt(f, a1 * a2 - f.d * b1 * b2, a1 * b2 + a2 * b1)
+    m = (1 + f.d) // 4
+    return QuadInt(f, a1 * a2 - m * b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+
+
+def _old_norm(x):
+    if x.field.case == 1:
+        return x.a * x.a + x.field.d * x.b * x.b
+    return x.a * x.a + x.a * x.b + (1 + x.field.d) // 4 * x.b * x.b
+
+
+def _old_trace(x):
+    return 2 * x.a if x.field.case == 1 else 2 * x.a + x.b
+
+
+def _old_conj(x):
+    if x.field.case == 1:
+        return QuadInt(x.field, x.a, -x.b)
+    return QuadInt(x.field, x.a + x.b, -x.b)
+
+
+def _old_affix(x):
+    if x.field.case == 1:
+        return x.a, x.b
+    return 2 * x.a + x.b, x.b
+
+
+def _old_from_affix(f, x, y):
+    if f.case == 1:
+        return QuadInt(f, x, y)
+    return QuadInt(f, x - y, 2 * y)
+
+
+def _old_enumerate_norm_le(f, bound):
+    if bound < 1:
+        return
+    if f.case == 1:
+        bmax = math.isqrt(bound // f.d)
+        for b in range(-bmax, bmax + 1):
+            rest = bound - f.d * b * b
+            amax = math.isqrt(rest)
+            for a in range(-amax, amax + 1):
+                if a or b:
+                    yield QuadInt(f, a, b)
+    else:
+        bmax = math.isqrt(4 * bound // f.d)
+        for b in range(-bmax, bmax + 1):
+            t = math.isqrt(4 * bound - f.d * b * b)
+            for a in range((-b - t + 1) // 2 - 1, (t - b) // 2 + 2):
+                if (a or b) and _old_norm(QuadInt(f, a, b)) <= bound:
+                    yield QuadInt(f, a, b)
+
+
+big = st.integers(-(10**12), 10**12)
+
+
+@given(fields, big, big, big, big)
+def test_ring_formulas_match_the_two_branch_oracles(f, a1, b1, a2, b2):
+    x, y = QuadInt(f, a1, b1), QuadInt(f, a2, b2)
+    assert (f.case, f.trace_omega, f.norm_omega, f.discriminant) == _old_constants(f)
+    assert x * y == _old_mul(x, y)
+    assert x.norm() == _old_norm(x)
+    assert x.trace() == _old_trace(x)
+    assert x.conj() == _old_conj(x)
+    assert x.affix() == _old_affix(x)
+    assert from_affix(f, a1, b1) == _old_from_affix(f, a1, b1)
+
+
+@given(fields, st.integers(-1, 3000))
+@example(field(1), 3000)
+@example(field(163), -1)
+def test_enumerate_norm_le_matches_the_two_branch_oracle(f, bound):
+    assert list(enumerate_norm_le(f, bound)) == list(_old_enumerate_norm_le(f, bound))
+
+
+def test_enumerate_norm_le_matches_the_two_branch_oracle_at_small_bounds():
+    for d in HEEGNER_DS:
+        f = field(d)
+        for bound in range(-1, 121):
+            assert list(enumerate_norm_le(f, bound)) == list(_old_enumerate_norm_le(f, bound)), (d, bound)
+
+
 def _cmul(p, q, d):
     # (x1 + y1*sqrt(d)i)(x2 + y2*sqrt(d)i) on rational plane points
     return PlanePoint(p.x * q.x - d * p.y * q.y, p.x * q.y + p.y * q.x)
@@ -235,8 +334,6 @@ def test_gcd_bezout_and_divisibility(xy):
 def test_gcd_is_a_greatest_common_divisor_small():
     # brute-force maximality check on small inputs: every common divisor
     # divides g (class number 1 makes the gcd an honest single element)
-    from tropigon.polygeom import enumerate_norm_le
-
     for d in HEEGNER_DS:
         f = field(d)
         x, y = QuadInt(f, 4, 2), QuadInt(f, 6, 0)
@@ -254,8 +351,6 @@ def test_quadrat_canonical_form(xy, den):
     x, _ = xy
     q = QuadRat.make(x, den)
     assert q.den > 0
-    import math
-
     assert math.gcd(q.num.a, q.num.b, q.den) == 1
     assert q.is_integral() == (q.den == 1)
 
