@@ -100,6 +100,11 @@ def sieve(bound: int) -> list[int]:
     return [i for i in range(2, bound + 1) if flags[i]]
 
 
+# the largest prime bound of a request: primes_upto sieves up to it, and
+# section_violation trial-divides each denominator by the primes below it
+MAX_PRIME_BOUND = 10_000
+
+
 def primes_upto(f: Field, bound: int) -> list[PrimeIdeal]:
     out: list[PrimeIdeal] = []
     for p in sieve(bound):

@@ -10,15 +10,18 @@ reader closed stdout early, and nothing more is printed.
 Each input that sizes the work has a cap, and past it the request exits 2:
 
     input                                  cap                               kind
-    primes --bound                         MAX_PRIME_BOUND                   malformed-input
+    primes --bound                         adelic.MAX_PRIME_BOUND            malformed-input
     tensor experiment --bound              MAX_EXPERIMENT_SAMPLES            malformed-input
     tensor --witness-bound                 MAX_WITNESS_BOUND                 malformed-input
-    "bound" of an adele section            MAX_PRIME_BOUND                   malformed-input
+    "bound" of an adele section            adelic.MAX_PRIME_BOUND            malformed-input
     "p" of a named prime                   adelic.MAX_NAMED_PRIME            malformed-input
+    the sum of the distinct named "p" of   adelic.MAX_NAMED_PRIME            malformed-input
+      one vector, module or section
     adele vector: a prime factor of        adelic.MAX_NAMED_PRIME            out-of-budget
       norm(num)*den of delta/generator
     adele vector: the sum of those primes  adelic.MAX_NAMED_PRIME            out-of-budget
     sum of |e|*bits(p) of an input vector  wire.MAX_VECTOR_BITS              malformed-input
+    digits of an integer in the answer     sys.get_int_max_str_digits()      out-of-budget
     member/stalk search norm bound         polygeom.MAX_MEMBERSHIP_NORM      out-of-budget
     member/stalk search reached polygons   polygeom.MAX_MEMBERSHIP_NODES     out-of-budget
 
@@ -36,7 +39,7 @@ import sys
 
 from . import wire
 from .adelic import (
-    FiniteSection,
+    MAX_PRIME_BOUND,
     adele_from_module,
     ideal_count_upto,
     iso_class_equal,
@@ -57,7 +60,6 @@ from .tensorlab import (
     reduced_equal,
 )
 
-MAX_PRIME_BOUND = 10_000
 MAX_EXPERIMENT_SAMPLES = 1_000
 MAX_WITNESS_BOUND = 16
 
@@ -69,7 +71,7 @@ def _capped(value: int, cap: int, flag: str) -> int:
 
 
 def _load_json(args) -> object:
-    path = getattr(args, "json", None)
+    path = args.json
     try:
         if path and path != "-":
             with open(path, encoding="utf-8") as fh:
@@ -82,14 +84,18 @@ def _load_json(args) -> object:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
+def _request(args) -> dict:
+    return wire.as_dict(_load_json(args), f"{args.cmd} request")
+
+
 def _need(data: dict, key: str):
-    if not isinstance(data, dict) or key not in data:
+    if key not in data:
         raise MalformedInput(f'missing key "{key}"')
     return data[key]
 
 
 def _field_flag(args, required: bool = False) -> Field | None:
-    d = getattr(args, "field", None)
+    d = args.field
     if d is None:
         if required:
             raise MalformedInput("--field is required for this subcommand")
@@ -97,13 +103,31 @@ def _field_flag(args, required: bool = False) -> Field | None:
     return wire.field_from_json(d)
 
 
+def _polygon_with(args, key: str, parse) -> tuple:
+    """The polygon of {"polygon": P, key: [...]} and its parsed list, or a bare polygon and []."""
+    data = _request(args)
+    ef = _field_flag(args)
+    if "polygon" not in data:
+        return wire.polygon_from_json(data, ef), []
+    p = wire.polygon_from_json(data["polygon"], ef)
+    return p, [parse(p.field, x) for x in wire.as_list(data.get(key, []), key)]
+
+
 def _emit(data):
-    print(wire.dumps(data))
+    try:
+        line = wire.dumps(data)
+    except ValueError as exc:
+        # only an integer past the int-to-str digit limit is refused; any other ValueError is a bug
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise OutOfBudget(f"answer has an integer over the {limit}-digit int-to-str limit") from exc
+    print(line)
 
 
-def cmd_field_info(args) -> int:
+def cmd_field_info(args) -> dict:
     f = _field_flag(args, required=True)
-    info = {
+    return {
         "d": f.d,
         "case": f.case,
         "discriminant": f.discriminant,
@@ -113,12 +137,10 @@ def cmd_field_info(args) -> int:
         "units": [wire.quadint_to_json(u) for u in f.units],
         "omega": wire.quadint_to_json(f.omega),
     }
-    _emit(info)
-    return 0
 
 
-def cmd_poly(args) -> int:
-    data = wire.as_dict(_load_json(args), "poly request")
+def cmd_poly(args) -> dict:
+    data = _request(args)
     op = _need(data, "op")
     ef = _field_flag(args)
     a = wire.polygon_from_json(_need(data, "A"), ef)
@@ -130,198 +152,136 @@ def cmd_poly(args) -> int:
         out = scale_act(k, a)
     else:
         raise MalformedInput(f"unknown poly op {op!r}")
-    _emit(wire.polygon_to_json(out))
-    return 0
+    return wire.polygon_to_json(out)
 
 
-def cmd_member(args) -> int:
-    data = wire.as_dict(_load_json(args), "member request")
-    ef = _field_flag(args)
-    if "polygon" in data:
-        p = wire.polygon_from_json(data["polygon"], ef)
-        gens = [
-            wire.quadrat_from_json(p.field, g)
-            for g in wire.as_list(data.get("generators", []), "generators")
-        ] or None
-    else:
-        p = wire.polygon_from_json(data, ef)
-        gens = None
-    ok, dec = membership_in_generated(p, gens)
-    _emit({"member": ok, "decomposition": wire.decomposition_to_json(dec)})
-    return 0
+def cmd_member(args) -> dict:
+    p, gens = _polygon_with(args, "generators", wire.quadrat_from_json)
+    ok, dec = membership_in_generated(p, gens or None)
+    return {"member": ok, "decomposition": wire.decomposition_to_json(dec)}
 
 
-def cmd_dual(args) -> int:
-    data = wire.as_dict(_load_json(args), "dual request")
+def cmd_dual(args) -> dict:
+    data = _request(args)
     ef = _field_flag(args)
     if data.get("tag") == "bottom" or "lines" in data:
         e = wire.envelope_from_json(data)
-        _emit(wire.polygon_to_json(phi_inv(e)))
-    else:
-        p = wire.polygon_from_json(data, ef)
-        _emit(wire.envelope_to_json(phi(p)))
-    return 0
+        return wire.polygon_to_json(phi_inv(e))
+    p = wire.polygon_from_json(data, ef)
+    return wire.envelope_to_json(phi(p))
 
 
-def cmd_primes(args) -> int:
+def cmd_primes(args) -> dict:
     f = _field_flag(args, required=True)
     bound = _capped(args.bound, MAX_PRIME_BOUND, "--bound")
     if bound < 2:
         raise MalformedInput("--bound must be >= 2")
-    out = {
+    return {
         "field": f.d,
         "bound": bound,
         "primes": [wire.prime_to_json(p) for p in primes_upto(f, bound)],
         "ideal_counts": ideal_count_upto(f, min(bound, 1000)),
     }
-    _emit(out)
-    return 0
 
 
-def _section(f: Field, data: dict) -> FiniteSection:
-    s = wire.section_from_json(f, _need(data, "section"))
-    _capped(s.prime_bound, MAX_PRIME_BOUND, "bound")
-    return s
-
-
-def cmd_adele(args) -> int:
+def cmd_adele(args) -> dict:
     f = _field_flag(args, required=True)
-    data = wire.as_dict(_load_json(args), "adele request")
+    data = _request(args)
     op = _need(data, "op")
     if op == "module":
         a = wire.vector_from_json(f, _need(data, "vector"))
-        _emit(wire.module_to_json(module_from_adele(a)))
-    elif op == "vector":
+        return wire.module_to_json(module_from_adele(a))
+    if op == "vector":
         h = wire.module_from_json(f, _need(data, "module"))
-        _emit(wire.vector_to_json(adele_from_module(h)))
-    elif op == "iso":
+        return wire.vector_to_json(adele_from_module(h))
+    if op == "iso":
         a = wire.vector_from_json(f, _need(data, "A"))
         b = wire.vector_from_json(f, _need(data, "B"))
         eq, k = iso_class_equal(a, b)
-        _emit({"equal": eq, "witness": wire.quadrat_to_json(k) if eq else None})
-    elif op == "member":
+        return {"equal": eq, "witness": wire.quadrat_to_json(k) if eq else None}
+    if op == "member":
         h = wire.module_from_json(f, _need(data, "module"))
         q = wire.quadrat_from_json(f, _need(data, "q"))
-        _emit({"member": h.member(q)})
-    elif op == "validate":
-        s = _section(f, data)
+        return {"member": h.member(q)}
+    if op == "validate":
+        s = wire.section_from_json(f, _need(data, "section"))
         bad = section_violation(s)
         out = {"valid": bad is None}
         if bad is not None:
             out["prime"] = wire.prime_to_json(bad)
-        _emit(out)
-    elif op == "act":
-        s = _section(f, data)
+        return out
+    if op == "act":
+        s = wire.section_from_json(f, _need(data, "section"))
         k = wire.quadint_from_json(f, _need(data, "k"))
-        _emit(wire.section_to_json(section_act(k, s)))
-    else:
-        raise MalformedInput(f"unknown adele op {op!r}")
-    return 0
+        return wire.section_to_json(section_act(k, s))
+    raise MalformedInput(f"unknown adele op {op!r}")
 
 
-def cmd_stalk(args) -> int:
-    data = wire.as_dict(_load_json(args), "stalk request")
+def cmd_stalk(args) -> dict:
+    data = _request(args)
     ef = _field_flag(args)
     p = wire.polygon_from_json(_need(data, "polygon"), ef)
     k = wire.quadrat_from_json(p.field, _need(data, "k"))
     element = stalk_scale(k, p)
     ok, dec = element.member()
-    _emit(
-        {
-            "polygon": wire.polygon_to_json(element.polygon),
-            "member": ok,
-            "decomposition": wire.decomposition_to_json(dec),
-        }
-    )
-    return 0
+    return {
+        "polygon": wire.polygon_to_json(element.polygon),
+        "member": ok,
+        "decomposition": wire.decomposition_to_json(dec),
+    }
 
 
-def _experiment_record_json(rec: dict) -> dict:
-    out = dict(rec)
-    for key in ("a", "a_prime", "c"):
-        out[key] = wire.tensor_to_json(out[key])
-    return out
+def _reduced(data: dict, key: str) -> ReducedElement:
+    xd = wire.as_dict(_need(data, key), key)
+    return ReducedElement(wire.tensor_from_json(_need(xd, "a")), wire.tensor_from_json(_need(xd, "b")))
 
 
-def cmd_tensor(args) -> int:
+def cmd_tensor(args) -> dict | int:
     wb = _capped(args.witness_bound, MAX_WITNESS_BOUND, "--witness-bound")
     if args.op == "experiment":
         samples = _capped(args.bound, MAX_EXPERIMENT_SAMPLES, "--bound")
-        seed = args.seed if args.seed is not None else 0
-        for rec in cancellativity_experiment(samples, witness_bound=wb, seed=seed):
-            _emit(_experiment_record_json(rec))
+        for rec in cancellativity_experiment(samples, witness_bound=wb, seed=args.seed):
+            for key in ("a", "a_prime", "c"):
+                rec[key] = wire.tensor_to_json(rec[key])
+            _emit(rec)
         return 0
-    data = wire.as_dict(_load_json(args), "tensor request")
+    data = _request(args)
     if args.op == "normalize":
         t = wire.tensor_from_json(data.get("tensor", data))
-        _emit(wire.tensor_to_json(t))
-    elif args.op == "sep":
+        return wire.tensor_to_json(t)
+    if args.op == "sep":
         s = wire.tensor_from_json(_need(data, "A"))
         t = wire.tensor_from_json(_need(data, "B"))
-        _emit({"verdict": eval_separator(s, t)})
-    elif args.op == "reduce":
-        xd = wire.as_dict(_need(data, "x"), "x")
-        yd = wire.as_dict(_need(data, "y"), "y")
-        x = ReducedElement(wire.tensor_from_json(_need(xd, "a")), wire.tensor_from_json(_need(xd, "b")))
-        y = ReducedElement(wire.tensor_from_json(_need(yd, "a")), wire.tensor_from_json(_need(yd, "b")))
-        hint = wire.tensor_from_json(data["hint"]) if "hint" in data else None
-        status, witness = reduced_equal(x, y, witness_bound=wb, hint=hint)
-        _emit(
-            {
-                "status": status,
-                "witness": wire.tensor_to_json(witness) if witness is not None else None,
-            }
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise MalformedInput(f"unknown tensor op {args.op!r}")
-    return 0
+        return {"verdict": eval_separator(s, t)}
+    x = _reduced(data, "x")
+    y = _reduced(data, "y")
+    hint = wire.tensor_from_json(data["hint"]) if "hint" in data else None
+    status, witness = reduced_equal(x, y, witness_bound=wb, hint=hint)
+    return {
+        "status": status,
+        "witness": wire.tensor_to_json(witness) if witness is not None else None,
+    }
 
 
-def cmd_render(args) -> int:
-    data = wire.as_dict(_load_json(args), "render request")
-    ef = _field_flag(args)
-    if "polygon" in data:
-        p = wire.polygon_from_json(data["polygon"], ef)
-        overlays = [
-            wire.polygon_from_json(o, p.field)
-            for o in wire.as_list(data.get("overlays", []), "overlays")
-        ]
-    else:
-        p = wire.polygon_from_json(data, ef)
-        overlays = []
+def cmd_render(args) -> dict | int:
+    p, overlays = _polygon_with(args, "overlays", lambda f, o: wire.polygon_from_json(o, f))
     svg = render_polygon_svg(p, overlays)
-    if args.svg:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(svg)
-        except OSError as exc:
-            raise MalformedInput(f"cannot write {args.svg}: {exc}") from exc
-        _emit({"svg": args.svg})
-    else:
+    if not args.svg:
         sys.stdout.write(svg)
-    return 0
+        return 0
+    try:
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {args.svg}: {exc}") from exc
+    return {"svg": args.svg}
 
 
 def cmd_selftest(args) -> int:
     # imported here so that no other subcommand pays for it
     from . import selftest
 
-    seed = args.seed if args.seed is not None else 0
-    return 0 if selftest.run(seed) else 1
-
-
-_HANDLERS = {
-    "field-info": cmd_field_info,
-    "poly": cmd_poly,
-    "member": cmd_member,
-    "dual": cmd_dual,
-    "primes": cmd_primes,
-    "adele": cmd_adele,
-    "stalk": cmd_stalk,
-    "tensor": cmd_tensor,
-    "render": cmd_render,
-    "selftest": cmd_selftest,
-}
+    return 0 if selftest.run(args.seed) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,38 +291,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name: str, *, json_arg: bool = False, field: bool = False, help: str = ""):
+    def add(name: str, handler, *, json_arg: bool = False, field: bool = False, help: str = ""):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if json_arg:
             p.add_argument("json", nargs="?", help="JSON input file ('-' or absent: stdin)")
         if field:
             p.add_argument("--field", type=int, help="field id d (one of the nine values)")
         return p
 
-    add("field-info", field=True, help="print the invariants of one field")
-    add("poly", json_arg=True, field=True, help="union / minkowski / scale on polygons")
-    add("member", json_arg=True, field=True, help="membership in the generated semiring, with witness")
-    add("dual", json_arg=True, field=True, help="d=1 polygon/envelope transform (direction inferred)")
-    p = add("primes", field=True, help="primes above p <= bound, plus ideal counts")
+    add("field-info", cmd_field_info, field=True, help="print the invariants of one field")
+    add("poly", cmd_poly, json_arg=True, field=True, help="union / minkowski / scale on polygons")
+    add("member", cmd_member, json_arg=True, field=True, help="membership in the generated semiring, with witness")
+    add("dual", cmd_dual, json_arg=True, field=True, help="d=1 polygon/envelope transform (direction inferred)")
+    p = add("primes", cmd_primes, field=True, help="primes above p <= bound, plus ideal counts")
     p.add_argument("--bound", type=int, default=50, help="rational prime bound (default 50)")
-    add("adele", json_arg=True, field=True, help="module/vector round-trips, iso, membership, sections")
-    add("stalk", json_arg=True, field=True, help="scale a polygon into a stalk and decide membership")
-    p = add("tensor", help="tensor laboratory")
+    add("adele", cmd_adele, json_arg=True, field=True, help="module/vector round-trips, iso, membership, sections")
+    add("stalk", cmd_stalk, json_arg=True, field=True, help="scale a polygon into a stalk and decide membership")
+    p = add("tensor", cmd_tensor, help="tensor laboratory")
     p.add_argument("op", choices=("normalize", "sep", "reduce", "experiment"))
     p.add_argument("json", nargs="?", help="JSON input file ('-' or absent: stdin)")
     p.add_argument("--witness-bound", type=int, default=2, help="witness search depth (default 2)")
-    p.add_argument("--seed", type=int, help="experiment RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="experiment RNG seed (default 0)")
     p.add_argument("--bound", type=int, default=50, help="experiment sample count (default 50)")
-    p = add("render", json_arg=True, field=True, help="standalone SVG of a polygon with overlays")
+    p = add("render", cmd_render, json_arg=True, field=True, help="standalone SVG of a polygon with overlays")
     p.add_argument("--svg", help="write the SVG here instead of stdout")
-    p = add("selftest", help="run the deterministic invariant suite")
-    p.add_argument("--seed", type=int, help="suite seed (default 0)")
+    p = add("selftest", cmd_selftest, help="run the deterministic invariant suite")
+    p.add_argument("--seed", type=int, default=0, help="suite seed (default 0)")
     return parser
 
 
 def _run(args) -> int:
     try:
-        return _HANDLERS[args.cmd](args)
+        # a handler returns its answer, or the exit code once it has written its own output
+        answer = args.handler(args)
+        if isinstance(answer, int):
+            return answer
+        _emit(answer)
+        return 0
     except (DomainError, MalformedInput, OutOfBudget) as exc:
         # the kind is the class name in kebab case: malformed-input, out-of-budget, ...
         kind = re.sub(r"(?<!^)(?=[A-Z])", "-", exc.__class__.__name__).lower()
@@ -384,8 +350,6 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # tensor's positional op shares the name "op" with nothing else; json may
-    # be consumed only by subcommands that declared it
     try:
         code = _run(args)
         sys.stdout.flush()

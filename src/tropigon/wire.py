@@ -3,6 +3,8 @@
 Integers stay integers, every other scalar is an exact rational serialized as
 a [num, den] pair; no floating point appears in any payload.  Parsers are
 strict: unexpected shapes raise MalformedInput, which the CLI maps to exit 2.
+Each cap on a JSON input that sizes work is checked here, as the input is
+read and before the work it sizes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 
 from .adelic import (
     MAX_NAMED_PRIME,
+    MAX_PRIME_BOUND,
     FiniteSection,
     LOCALIZED,
     ModuleHandle,
@@ -64,6 +67,16 @@ def as_dict(v, what: str) -> dict:
     return v
 
 
+def _entries(entries: list, item: str, names) -> list[list]:
+    """The entries of a list, each a list of one item per name; names spell an entry in messages."""
+    out = []
+    for entry in entries:
+        e = as_list(entry, item)
+        _expect(len(e) == len(names), f"{item} must be [{', '.join(names)}]")
+        out.append(e)
+    return out
+
+
 def field_from_json(v) -> Field:
     d = _as_int(v, "field")
     _expect(d in HEEGNER_DS, f"field must be one of {list(HEEGNER_DS)}")
@@ -102,9 +115,7 @@ def _pairs_from_json(entries, item: str, names) -> list[tuple[Fraction, Fraction
     """Rational pairs from [xn, xd, yn, yd] entries; names spells the four in messages."""
     xn, xd, yn, yd = names
     out = []
-    for entry in entries:
-        e = as_list(entry, item)
-        _expect(len(e) == 4, f"{item} must be [{xn}, {xd}, {yn}, {yd}]")
+    for e in _entries(entries, item, names):
         dx, dy = _as_int(e[1], xd), _as_int(e[3], yd)
         _expect(dx != 0 and dy != 0, f"{item} with zero denominator")
         out.append((Fraction(_as_int(e[0], xn), dx), Fraction(_as_int(e[2], yn), dy)))
@@ -152,13 +163,18 @@ def prime_to_json(p: PrimeIdeal) -> dict:
     return {"p": p.p, "kind": p.kind, "gen": quadint_to_json(p.gen)}
 
 
-def prime_from_json(f: Field, data) -> PrimeIdeal:
+def _named_p(data) -> int:
     v = as_dict(data, "prime")
     _expect({"p", "kind", "gen"} <= set(v), 'prime needs "p", "kind", "gen"')
     p = _as_int(v["p"], "p")
     _expect(p >= 2, "p must be >= 2")
     _expect(p <= MAX_NAMED_PRIME, f"p must be <= {MAX_NAMED_PRIME}")
-    gen = quadint_from_json(f, v["gen"])
+    return p
+
+
+def prime_from_json(f: Field, data) -> PrimeIdeal:
+    p = _named_p(data)
+    gen = quadint_from_json(f, data["gen"])
     _expect(not gen.is_zero(), "prime generator must be nonzero")
     try:
         above = primes_above(f, p)
@@ -166,9 +182,17 @@ def prime_from_json(f: Field, data) -> PrimeIdeal:
         raise MalformedInput(str(exc)) from exc
     want = canonical_unit_rep(gen)
     for cand in above:
-        if cand.kind == v["kind"] and cand.gen == want:
+        if cand.kind == data["kind"] and cand.gen == want:
             return cand
     raise MalformedInput(f"no prime over {p} in d={f.d} with that kind and generator")
+
+
+def _named_primes(f: Field, entries: list) -> list[PrimeIdeal]:
+    # primes_above scans range(p) for each fresh p, so the distinct p of one
+    # vector, module or section are capped by their sum before any is resolved
+    total = sum({_named_p(entry) for entry in entries})
+    _expect(total <= MAX_NAMED_PRIME, f"the distinct named primes p must sum to <= {MAX_NAMED_PRIME}")
+    return [prime_from_json(f, entry) for entry in entries]
 
 
 def vector_to_json(a: ValuationVector) -> dict:
@@ -180,15 +204,12 @@ def vector_to_json(a: ValuationVector) -> dict:
 
 def vector_from_json(f: Field, data) -> ValuationVector:
     v = as_dict(data, "valuation vector")
-    exps = []
-    for entry in as_list(v.get("exps", []), "exps"):
-        e = as_list(entry, "exponent entry")
-        _expect(len(e) == 2, "exponent entry must be [prime, e]")
-        exps.append((prime_from_json(f, e[0]), _as_int(e[1], "exponent")))
+    entries = _entries(as_list(v.get("exps", []), "exps"), "exponent entry", ("prime", "e"))
+    primes = _named_primes(f, [p for p, _ in entries] + as_list(v.get("free", []), "free"))
+    exps = [(prime, _as_int(e, "exponent")) for prime, (_, e) in zip(primes, entries)]
     bits = sum(abs(e) * prime.p.bit_length() for prime, e in exps)
     _expect(bits <= MAX_VECTOR_BITS, f"sum of |e| * bit length of p must be <= {MAX_VECTOR_BITS}")
-    free = [prime_from_json(f, entry) for entry in as_list(v.get("free", []), "free")]
-    return ValuationVector.make(f, exps, free)
+    return ValuationVector.make(f, exps, primes[len(exps) :])
 
 
 def module_to_json(h: ModuleHandle) -> dict:
@@ -207,7 +228,7 @@ def module_from_json(f: Field, data) -> ModuleHandle:
         return ModuleHandle.zero(f)
     _expect(kind in (PRINCIPAL, LOCALIZED), f"unknown module kind {kind!r}")
     gen = quadrat_from_json(f, v.get("gen"))
-    free = [prime_from_json(f, entry) for entry in as_list(v.get("free", []), "free")]
+    free = _named_primes(f, as_list(v.get("free", []), "free"))
     _expect(bool(free) == (kind == LOCALIZED), "free set must match the module kind")
     return ModuleHandle.make(f, gen, free)
 
@@ -222,11 +243,10 @@ def section_to_json(s: FiniteSection) -> dict:
 def section_from_json(f: Field, data) -> FiniteSection:
     v = as_dict(data, "section")
     bound = _as_int(v.get("bound", 200), "bound")
-    values = []
-    for entry in as_list(v.get("values", []), "values"):
-        e = as_list(entry, "section entry")
-        _expect(len(e) == 2, "section entry must be [prime, value]")
-        values.append((prime_from_json(f, e[0]), quadrat_from_json(f, e[1])))
+    _expect(bound <= MAX_PRIME_BOUND, f"bound must be <= {MAX_PRIME_BOUND}")
+    entries = _entries(as_list(v.get("values", []), "values"), "section entry", ("prime", "value"))
+    primes = _named_primes(f, [p for p, _ in entries])
+    values = [(prime, quadrat_from_json(f, x)) for prime, (_, x) in zip(primes, entries)]
     return FiniteSection.make(f, bound, values)
 
 
@@ -236,11 +256,10 @@ def tensor_to_json(t: FormalTensor) -> dict:
 
 def tensor_from_json(data) -> FormalTensor:
     v = as_dict(data, "tensor")
-    pairs = []
-    for entry in as_list(v.get("pairs", []), "pairs"):
-        e = as_list(entry, "tensor pair")
-        _expect(len(e) == 2, "tensor pair must be [envelope, envelope]")
-        pairs.append((envelope_from_json(e[0]), envelope_from_json(e[1])))
+    pairs = [
+        (envelope_from_json(e), envelope_from_json(g))
+        for e, g in _entries(as_list(v.get("pairs", []), "pairs"), "tensor pair", ("envelope", "envelope"))
+    ]
     return FormalTensor.make(pairs)
 
 

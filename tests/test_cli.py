@@ -1,15 +1,19 @@
-"""End-to-end CLI runs in a subprocess: exit codes, JSON shapes, determinism."""
+"""End-to-end CLI runs in a subprocess (exit codes, JSON shapes, determinism), and the wire caps in process."""
 
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from tropigon import wire
 from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
 from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
 from tropigon.adelic import MAX_NAMED_PRIME
+from tropigon.errors import MalformedInput
+from tropigon.quadfield import field
 from tropigon.wire import MAX_VECTOR_BITS
 
 CMD = [sys.executable, "-m", "tropigon.cli"]
@@ -270,6 +274,30 @@ def _generator_over(den):
     return {"op": "vector", "module": {"kind": "principal", "gen": {"num": [1, 0], "den": den}}}
 
 
+def _named_primes(primes):
+    return {"op": "module", "vector": {"exps": [[prime, 1] for prime in primes], "free": []}}
+
+
+def _inert_primes_below(n, count):
+    # a prime p = 3 (mod 4) is inert in Z[i], generated by p itself
+    out = []
+    while len(out) < count:
+        n -= 1
+        if n % 4 == 3 and all(n % q for q in range(3, math.isqrt(n) + 1, 2)):
+            out.append({"p": n, "kind": "inert", "gen": [n, 0]})
+    return out
+
+
+# 5000011 is inert in Z[i]; 5000077 = 2211**2 + 334**2 splits
+P5000011 = {"p": 5_000_011, "kind": "inert", "gen": [5_000_011, 0]}
+P5000077 = {"p": 5_000_077, "kind": "split", "gen": [2211, 334]}
+
+
+def _square_scaled(n):
+    # the d = 1 square through (n, 0) and (0, n), scaled by n: its vertices are n**2
+    return {"op": "scale", "A": {"field": 1, "tag": "proper", "sector": [[n, 1, 0, 1], [0, 1, n, 1]]}, "k": [n, 0]}
+
+
 def _power_of_three(e):
     three = {"p": 3, "kind": "inert", "gen": [3, 0]}
     return {"op": "module", "vector": {"exps": [[three, e]], "free": []}}
@@ -313,6 +341,21 @@ WORK_CAPS = [
         _power_of_three(100_000),
         id="vector-bits",
     ),
+    # each fresh named prime costs a range(p) scan; 170 primes near 10**7 fit MAX_VECTOR_BITS
+    pytest.param(
+        ["adele", "--field", "1"], _named_prime(9_999_991), _named_primes([P5000011, P5000077]),
+        {"error": f"the distinct named primes p must sum to <= {MAX_NAMED_PRIME}", "kind": "malformed-input"},
+        _named_primes(_inert_primes_below(10**7, 170)),
+        id="named-primes",
+    ),
+    # (10**2150 - 1)**2 has 4300 digits and 10**4300 has 4301; each input stays under the limit
+    pytest.param(
+        ["poly"], _square_scaled(10**2150 - 1), _square_scaled(10**2150),
+        {"error": f"answer has an integer over the {sys.get_int_max_str_digits()}-digit int-to-str limit",
+         "kind": "out-of-budget"},
+        _square_scaled(10**4200),
+        id="answer-digits",
+    ),
     # norm 400 for 20, norm 401 for 3 + 14*omega
     pytest.param(
         ["stalk"], _rhombus(20, 0), _rhombus(3, 14),
@@ -342,6 +385,24 @@ def test_work_caps(args, largest, past, refusal, far):
         code, out, _ = run(args, json.dumps(far), timeout=15)
         assert code == 2
         assert json.loads(out)["kind"] == refusal["kind"]
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (wire.vector_from_json, {"exps": [[P5000011, 1]], "free": [P5000077]}),
+        (wire.module_from_json, {"kind": "localized", "gen": [1, 0], "free": [P5000011, P5000077]}),
+        (wire.section_from_json, {"bound": 50, "values": [[P5000011, [1, 0]], [P5000077, [1, 0]]]}),
+    ],
+    ids=["vector", "module", "section"],
+)
+def test_named_primes_are_refused_before_any_is_resolved(monkeypatch, parse, data):
+    def unreachable(f, p):
+        raise AssertionError(f"primes_above({p}) was called")
+
+    monkeypatch.setattr(wire, "primes_above", unreachable)
+    with pytest.raises(MalformedInput, match="distinct named primes"):
+        parse(field(1), data)
 
 
 # ---------------------------------------------------------------------- adele
@@ -640,7 +701,7 @@ def test_unexpected_exception_is_exit_3():
         "from tropigon import cli\n"
         "def boom(args):\n"
         "    raise RuntimeError('boom')\n"
-        "cli._HANDLERS['field-info'] = boom\n"
+        "cli.cmd_field_info = boom\n"
         "sys.exit(cli.main(['field-info']))\n"
     )
     p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
