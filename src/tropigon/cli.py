@@ -12,7 +12,7 @@ Each input that sizes the work has a cap, and past it the request exits 2:
     input                                  cap                               kind
     primes --bound                         adelic.MAX_PRIME_BOUND            malformed-input
     tensor experiment --bound              MAX_EXPERIMENT_SAMPLES            malformed-input
-    tensor --witness-bound                 MAX_WITNESS_BOUND                 malformed-input
+    tensor --witness-bound                 tensorlab.MAX_WITNESS_BOUND       malformed-input
     "bound" of an adele section            adelic.MAX_PRIME_BOUND            malformed-input
     "p" of a named prime                   adelic.MAX_NAMED_PRIME            malformed-input
     the sum of the distinct named "p" of   adelic.MAX_NAMED_PRIME            malformed-input
@@ -24,9 +24,11 @@ Each input that sizes the work has a cap, and past it the request exits 2:
     digits of an integer in the answer     sys.get_int_max_str_digits()      out-of-budget
     member/stalk search norm bound         polygeom.MAX_MEMBERSHIP_NORM      out-of-budget
     member/stalk search reached polygons   polygeom.MAX_MEMBERSHIP_NODES     out-of-budget
+    tensor reduce: pairs that the witness  tensorlab.MAX_WITNESS_PAIRS       out-of-budget
+      search's products cross, summed
 
-The last two hold for d not in {1, 3}, where membership is a breadth-first
-search.
+The membership caps hold for d not in {1, 3}, where membership is a
+breadth-first search.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .polygeom import hull_union, membership_in_generated, minkowski_sum, scale_
 from .quadfield import Field
 from .render import render_polygon_svg
 from .tensorlab import (
+    MAX_WITNESS_BOUND,
     ReducedElement,
     cancellativity_experiment,
     eval_separator,
@@ -61,7 +64,6 @@ from .tensorlab import (
 )
 
 MAX_EXPERIMENT_SAMPLES = 1_000
-MAX_WITNESS_BOUND = 16
 
 
 def _capped(value: int, cap: int, flag: str) -> int:
@@ -240,7 +242,7 @@ def cmd_tensor(args) -> dict | int:
     wb = _capped(args.witness_bound, MAX_WITNESS_BOUND, "--witness-bound")
     if args.op == "experiment":
         samples = _capped(args.bound, MAX_EXPERIMENT_SAMPLES, "--bound")
-        for rec in cancellativity_experiment(samples, witness_bound=wb, seed=args.seed):
+        for rec in cancellativity_experiment(samples, seed=args.seed):
             for key in ("a", "a_prime", "c"):
                 rec[key] = wire.tensor_to_json(rec[key])
             _emit(rec)
@@ -311,7 +313,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("tensor", cmd_tensor, help="tensor laboratory")
     p.add_argument("op", choices=("normalize", "sep", "reduce", "experiment"))
     p.add_argument("json", nargs="?", help="JSON input file ('-' or absent: stdin)")
-    p.add_argument("--witness-bound", type=int, default=2, help="witness search depth (default 2)")
+    p.add_argument(
+        "--witness-bound",
+        type=int,
+        default=2,
+        help="reduce: witness search depth (default 2); each candidate is tested as it is built",
+    )
     p.add_argument("--seed", type=int, default=0, help="experiment RNG seed (default 0)")
     p.add_argument("--bound", type=int, default=50, help="experiment sample count (default 50)")
     p = add("render", cmd_render, json_arg=True, field=True, help="standalone SVG of a polygon with overlays")

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .envelope import NEG_INF, Envelope, eval_at, leq, phi, phi_inv, tmax, tplus
-from .errors import WrongField
+from .errors import OutOfBudget, WrongField
 from .polygeom import scale_act
 from .quadfield import QuadInt, QuadRat
 
@@ -25,6 +25,12 @@ DISTINCT = "distinct"
 POSSIBLY_EQUAL = "possibly_equal"
 EQUAL = "equal"
 UNKNOWN = "unknown"
+
+# Caps on the witness search of `reduced_equal`: the depth a caller may ask
+# for, and the pairs its tensor products may cross in all.  Past the second
+# the search raises OutOfBudget.
+MAX_WITNESS_BOUND = 16
+MAX_WITNESS_PAIRS = 5_000
 
 
 def _sorted_pairs(pairs) -> tuple[Pair, ...]:
@@ -237,32 +243,33 @@ def reduced_mul(x: ReducedElement, y: ReducedElement) -> ReducedElement:
     return ReducedElement(tensor_product((x.a, y.a)), tensor_product((x.b, y.b)))
 
 
-def _witness_candidates(parts, witness_bound: int, hint: FormalTensor | None):
-    out: list[FormalTensor] = []
-    seen: set[FormalTensor] = set()
+def _witness_candidates(parts, witness_bound: int, hint: FormalTensor | None, product):
+    """Yield the witness candidates one at a time, each as soon as it is built.
 
-    def push(c: FormalTensor):
-        if not c.is_bottom() and c not in seen:
-            seen.add(c)
-            out.append(c)
-
-    if hint is not None:
-        push(hint)
-    push(FormalTensor.neutral())
+    The order is the hint, then each level of products of the previous level
+    with the parts, up to `witness_bound` levels and 200 distinct candidates.
+    The neutral tensor counts among the 200 and seeds the first level, but is
+    not yielded: a product with it changes nothing, so it could only certify
+    cross tensors that are already equal.  `product` builds each candidate.
+    """
+    seen: set[FormalTensor] = {FormalTensor.neutral()}
+    if hint is not None and not hint.is_bottom() and hint not in seen:
+        seen.add(hint)
+        yield hint
     parts = [p for p in parts if not p.is_bottom()]
     level = [FormalTensor.neutral()]
     for _ in range(max(0, witness_bound)):
         nxt = []
         for base in level:
             for p in parts:
-                c = tensor_product((base, p))
+                c = product((base, p))
                 if c not in seen:
-                    push(c)
+                    seen.add(c)
+                    yield c
                     nxt.append(c)
-                if len(out) >= 200:
-                    return out
+                if len(seen) >= 200:
+                    return
         level = nxt
-    return out
 
 
 def reduced_equal(
@@ -273,6 +280,9 @@ def reduced_equal(
     The cross tensors a+b' and a'+b are compared directly: any witness c adds
     the same finite bivariate envelope to both sides, so a separator verdict
     on the cross pair already quantifies over every admissible witness.
+    Witness candidates are tested as they are built, so the search stops at
+    the first that certifies.  The pairs that its products cross, summed,
+    may not pass MAX_WITNESS_PAIRS; past it the search raises OutOfBudget.
     """
     lhs = tensor_product((x.a, y.b))
     rhs = tensor_product((y.a, x.b))
@@ -280,8 +290,17 @@ def reduced_equal(
         return EQUAL, FormalTensor.neutral()
     if eval_separator(lhs, rhs) == DISTINCT:
         return DISTINCT, None
-    for c in _witness_candidates((x.a, x.b, y.a, y.b), witness_bound, hint):
-        if tensor_product((x.a, y.b, c)) == tensor_product((y.a, x.b, c)):
+    crossed = 0
+
+    def product(factors) -> FormalTensor:
+        nonlocal crossed
+        crossed += math.prod(len(t.pairs) for t in factors)
+        if crossed > MAX_WITNESS_PAIRS:
+            raise OutOfBudget(f"witness search crossed more than {MAX_WITNESS_PAIRS} pairs")
+        return tensor_product(factors)
+
+    for c in _witness_candidates((x.a, x.b, y.a, y.b), witness_bound, hint, product):
+        if product((x.a, y.b, c)) == product((y.a, x.b, c)):
             return EQUAL, c
     return UNKNOWN, None
 
@@ -328,9 +347,7 @@ def random_tensor(
     return FormalTensor.make(pairs)
 
 
-def cancellativity_experiment(
-    sample_size: int, witness_bound: int = 2, seed: int = 0
-) -> list[dict]:
+def cancellativity_experiment(sample_size: int, seed: int = 0) -> list[dict]:
     """Sample (a, a', c) with a != a' and report how the oracles see a+c vs a'+c.
 
     Report only: the underlying question is open, so no record carries a

@@ -2,9 +2,11 @@
 
 import json
 import math
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from tropigon import wire
 from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
 from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
 from tropigon.adelic import MAX_NAMED_PRIME
+from tropigon.tensorlab import MAX_WITNESS_PAIRS, random_envelope
 from tropigon.errors import MalformedInput
 from tropigon.quadfield import field
 from tropigon.wire import MAX_VECTOR_BITS
@@ -250,7 +253,7 @@ def test_experiment_at_the_caps():
         "import sys\n"
         "from tropigon import cli\n"
         "seen = []\n"
-        "cli.cancellativity_experiment = lambda n, witness_bound, seed: seen.append(n) or []\n"
+        "cli.cancellativity_experiment = lambda n, seed: seen.append(n) or []\n"
         f"code = cli.main(['tensor', 'experiment', '--bound', '{MAX_EXPERIMENT_SAMPLES}'])\n"
         "print(seen)\n"
         "sys.exit(code)\n"
@@ -263,6 +266,35 @@ def test_reduce_at_the_witness_cap():
     x = {"a": {"pairs": [[ENV_SQ, ENV_SQ]]}, "b": {"pairs": [[ENV_SQ, ENV_SQ]]}}
     code, (out,) = run_json(["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)], {"x": x, "y": x})
     assert code == 0 and out["status"] == "equal"
+
+
+def _lines(*lines):
+    # each line (a, b) is the affine function a + (b - a)*x on [0, 1]
+    out = []
+    for a, b in lines:
+        a, b = Fraction(a), Fraction(b)
+        out.append([a.numerator, a.denominator, b.numerator, b.denominator])
+    return {"lines": out}
+
+
+def _gamma_pair(x_pairs, y_pairs):
+    # the reduce request for gamma(X) against gamma(Y)
+    one = {"pairs": [[_lines((0, 0)), _lines((0, 0))]]}
+    return {"x": {"a": {"pairs": x_pairs}, "b": one}, "y": {"a": {"pairs": y_pairs}, "b": one}}
+
+
+def test_reduce_stops_at_the_first_witness():
+    # gamma(T + p) against gamma(T), where p = (k + s*x) (x) (m + t*y) lies under the max of two
+    # pairs of T, and T carries two random pairs of up to 5 lines
+    rng = random.Random(0)
+    s, t, k, m = 1, 3, -1, 2
+    extra = [[wire.envelope_to_json(random_envelope(rng, 5)) for _ in range(2)] for _ in range(2)]
+    low = [[_lines((k, k + 2 * s)), _lines((m, m))], [_lines((k, k)), _lines((m, m + 2 * t))]] + extra
+    request = _gamma_pair(low + [[_lines((k, k + s)), _lines((m, m + t))]], low)
+    args = ["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)]
+    code, out, err = run(args, json.dumps(request), timeout=15)
+    assert code == 0, err
+    assert json.loads(out)["status"] == "equal"
 
 
 def _named_prime(p):
@@ -313,6 +345,19 @@ def _family(n):
     # n*D_K + (D_K u (1 + omega)*D_K) over d = 2
     sector = [[n + 1, 1, 1, 1], [1, 1, n + 1, 1], [-2, 1, n + 1, 1], [-n - 2, 1, 1, 1]]
     return {"field": 2, "tag": "proper", "sector": sector}
+
+
+# (E + 1) (x) F and E (x) (F + 1) are the same function but no witness joins
+# them: every level of the search is built, and the answer is unknown
+_SHIFTED = _gamma_pair([[_lines((2, 1), (1, 2)), _lines((2, -1))]], [[_lines((1, 0), (0, 1)), _lines((3, 0))]])
+# four pairs against the same minus -2 (x) max(-y, 7y - 3), which lies under
+# the max of the others; the search finds nothing and grows about 3x per level
+_UNDER = [
+    [_lines((-3, 0)), _lines((Fraction(-3, 2), -2))],
+    [_lines((1, 0)), _lines((-1, -4))],
+    [_lines((1, 3)), _lines((-3, 4))],
+]
+_FRUITLESS = _gamma_pair(_UNDER + [[_lines((-2, -2)), _lines((0, -1), (-3, 4))]], _UNDER)
 
 
 # One row per cap on an input that sizes work: the largest allowed input
@@ -369,6 +414,13 @@ WORK_CAPS = [
         {"error": f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes", "kind": "out-of-budget"},
         None,
         id="membership-nodes",
+    ),
+    # the unknown answer crosses 848 pairs; the fruitless search passes the budget at depth 6
+    pytest.param(
+        ["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)], _SHIFTED, _FRUITLESS,
+        {"error": f"witness search crossed more than {MAX_WITNESS_PAIRS} pairs", "kind": "out-of-budget"},
+        None,
+        id="witness-pairs",
     ),
 ]
 

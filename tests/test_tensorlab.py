@@ -1,6 +1,7 @@
 """Formal tensor calculus: normal forms, the separator, the reduced quotient."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -36,10 +37,18 @@ from tropigon import (
     tensor_product,
     tplus,
 )
-from tropigon import wire
-from tropigon.errors import OutOfDomain, WrongField
+from tropigon import tensorlab, wire
+from tropigon.errors import OutOfBudget, OutOfDomain, WrongField
 from tropigon.selftest import _lowered
-from tropigon.tensorlab import _exceeds_somewhere, _sorted_pairs, random_envelope
+from tropigon.tensorlab import (
+    MAX_WITNESS_PAIRS,
+    UNKNOWN,
+    _exceeds_somewhere,
+    _sorted_pairs,
+    _witness_candidates,
+    random_envelope,
+    random_tensor,
+)
 
 F1 = field(1)
 
@@ -353,8 +362,6 @@ def test_separator_reads_the_integer_arcs_only(monkeypatch):
 
 def test_reduced_structural_laws():
     rng = random.Random(5)
-    from tropigon.tensorlab import random_tensor
-
     for _ in range(60):
         x = ReducedElement(random_tensor(rng), random_tensor(rng))
         y = ReducedElement(random_tensor(rng), random_tensor(rng))
@@ -373,8 +380,6 @@ def test_gamma_is_injective_up_to_equality():
 
 def test_reduced_equal_verdicts_are_sound():
     rng = random.Random(6)
-    from tropigon.tensorlab import random_tensor
-
     unknowns = 0
     for _ in range(120):
         a, b = random_tensor(rng), random_tensor(rng)
@@ -395,8 +400,6 @@ def test_reduced_equal_verdicts_are_sound():
 
 def test_cancellation_instances_certify():
     rng = random.Random(7)
-    from tropigon.tensorlab import random_tensor
-
     for _ in range(40):
         parts = [random_tensor(rng) for _ in range(5)]
         x, y, w = cancellation_instance(*parts)
@@ -418,6 +421,167 @@ def test_experiment_is_deterministic_and_well_formed():
             assert r["products_separator"] == POSSIBLY_EQUAL
         # a sandwich violation would refute the open question's premise
         assert not r["sandwich_violation"] or r["factors_separator"] != DISTINCT
+
+
+# ------------------------------------------------------------- witness search
+
+
+def _eager_witness_candidates(parts, witness_bound, hint):
+    """The candidate list as it was built before the search went lazy: all of it, then tested."""
+    out = []
+    seen = set()
+
+    def push(c):
+        if not c.is_bottom() and c not in seen:
+            seen.add(c)
+            out.append(c)
+
+    if hint is not None:
+        push(hint)
+    push(FormalTensor.neutral())
+    parts = [p for p in parts if not p.is_bottom()]
+    level = [FormalTensor.neutral()]
+    for _ in range(max(0, witness_bound)):
+        nxt = []
+        for base in level:
+            for p in parts:
+                c = tensor_product((base, p))
+                if c not in seen:
+                    push(c)
+                    nxt.append(c)
+                if len(out) >= 200:
+                    return out
+        level = nxt
+    return out
+
+
+def _eager_reduced_equal(x, y, witness_bound, hint):
+    lhs = tensor_product((x.a, y.b))
+    rhs = tensor_product((y.a, x.b))
+    if lhs == rhs:
+        return EQUAL, FormalTensor.neutral()
+    if eval_separator(lhs, rhs) == DISTINCT:
+        return DISTINCT, None
+    for c in _eager_witness_candidates((x.a, x.b, y.a, y.b), witness_bound, hint):
+        if tensor_product((x.a, y.b, c)) == tensor_product((y.a, x.b, c)):
+            return EQUAL, c
+    return UNKNOWN, None
+
+
+def _line_pair(a, slope, m, tilt):
+    return (_env((a, a + slope)), _env((m, m + tilt)))
+
+
+def _search_instance(rng, extra_pairs=0):
+    """gamma(T) and gamma(T minus p), where p = (k + s*x) (x) (m + t*y) lies under the max of two pairs of T.
+
+    s*x + t*y <= max(2s*x, 2t*y), so the two sides are the same function, and
+    T may carry random extra pairs of up to 5 lines.
+    """
+    s, t, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(-3, 3), rng.randint(-3, 3)
+    low = [_line_pair(k, 2 * s, m, 0), _line_pair(k, 0, m, 2 * t)]
+    low += [(random_envelope(rng, 5), random_envelope(rng, 5)) for _ in range(extra_pairs)]
+    return gamma(FormalTensor.make(low + [_line_pair(k, s, m, t)])), gamma(FormalTensor.make(low))
+
+
+# T minus the pair -2 (x) max(-y, 7y - 3) is the same function as T, and no
+# product of the parts certifies the two equal
+_T_UNDER = FormalTensor.make(
+    [
+        (_env((-3, 0)), _env((Fraction(-3, 2), -2))),
+        (_env((-2, -2)), _env((0, -1), (-3, 4))),
+        (_env((1, 0)), _env((-1, -4))),
+        (_env((1, 3)), _env((-3, 4))),
+    ]
+)
+_T_UNDER_DROPPED = FormalTensor(tuple(p for p in _T_UNDER.pairs if p[0] != _env((-2, -2))))
+
+
+# four one-pair parts: products stay one pair, and depth 6 reaches the 200-candidate stop
+_ONE_PAIR_PARTS = [
+    FormalTensor.make([pair])
+    for pair in ((E_UNIT, E_TWICE), (E_TWICE, E_UNIT), (E_UNIT, _env((1, 0))), (_env((0, 1)), E_UNIT))
+]
+
+
+@st.composite
+def _reduced_instances(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["random", "cancel", "cancel-hinted", "search", "search"]))
+    if kind == "random":
+        x = ReducedElement(random_tensor(rng), random_tensor(rng))
+        y = ReducedElement(random_tensor(rng), random_tensor(rng))
+        return x, y, random_tensor(rng) if draw(st.booleans()) else None
+    if kind == "search":
+        x, y = _search_instance(rng, draw(st.integers(0, 2)))
+        return x, y, None
+    x, y, w = cancellation_instance(*(random_tensor(rng) for _ in range(5)))
+    return x, y, w if kind == "cancel-hinted" else None
+
+
+def _answer_bytes(answer):
+    status, witness = answer
+    return wire.dumps({"status": status, "witness": wire.tensor_to_json(witness) if witness is not None else None})
+
+
+@given(_reduced_instances(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+@example((*_search_instance(random.Random(0)), None), 2)
+@example((gamma(_T_UNDER), gamma(_T_UNDER_DROPPED), None), 3)
+@example((ReducedElement(*_ONE_PAIR_PARTS[:2]), ReducedElement(*_ONE_PAIR_PARTS[2:]), T_SQ), 6)
+def test_lazy_witness_search_matches_the_eager_list(instance, witness_bound):
+    x, y, hint = instance
+    got = reduced_equal(x, y, witness_bound=witness_bound, hint=hint)
+    assert _answer_bytes(got) == _answer_bytes(_eager_reduced_equal(x, y, witness_bound, hint))
+    parts = (x.a, x.b, y.a, y.b)
+    lazy = list(_witness_candidates(parts, witness_bound, hint, tensor_product))
+    eager = _eager_witness_candidates(parts, witness_bound, hint)
+    assert lazy == [c for c in eager if c != FormalTensor.neutral()]
+
+
+@given(st.integers(0, 2**64))
+@settings(deadline=None)
+def test_a_neutral_factor_changes_no_product(seed):
+    rng = random.Random(seed)
+    s, t = random_tensor(rng), random_tensor(rng)
+    assert tensor_product((s, t, FormalTensor.neutral())) == tensor_product((s, t))
+
+
+def _counting_products(monkeypatch):
+    calls = []
+
+    def counted(factors):
+        factors = tuple(factors)
+        calls.append(math.prod(len(t.pairs) for t in factors))
+        return tensor_product(factors)
+
+    monkeypatch.setattr(tensorlab, "tensor_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_witness_search_stops_at_the_first_certificate(monkeypatch, seed):
+    # the search instance plus two random pairs: at depth 16 the eager list
+    # made 66 products at depth 8 alone; the first product certifies
+    rng = random.Random(seed)
+    x, y = _search_instance(rng, extra_pairs=2)
+    while x.a == y.a:  # an extra pair may lie over p, and then no search is needed
+        x, y = _search_instance(rng, extra_pairs=2)
+    calls = _counting_products(monkeypatch)
+    status, _ = reduced_equal(x, y, witness_bound=16)
+    assert status == EQUAL
+    assert len(calls) <= 8
+
+
+def test_a_fruitless_search_stops_at_the_pair_budget(monkeypatch):
+    assert len(_T_UNDER.pairs) == 4 and len(_T_UNDER_DROPPED.pairs) == 3
+    x, y = gamma(_T_UNDER), gamma(_T_UNDER_DROPPED)
+    assert reduced_equal(x, y, witness_bound=3) == (UNKNOWN, None)
+    calls = _counting_products(monkeypatch)
+    with pytest.raises(OutOfBudget, match=f"crossed more than {MAX_WITNESS_PAIRS} pairs"):
+        reduced_equal(x, y, witness_bound=16)
+    # the two cross products come before the search; its own products stay within the budget
+    assert sum(calls[2:]) <= MAX_WITNESS_PAIRS
 
 
 # ------------------------------------------------------------- corpus replay
