@@ -311,16 +311,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add("adele", cmd_adele, json_arg=True, field=True, help="module/vector round-trips, iso, membership, sections")
     add("stalk", cmd_stalk, json_arg=True, field=True, help="scale a polygon into a stalk and decide membership")
     p = add("tensor", cmd_tensor, help="tensor laboratory")
-    p.add_argument("op", choices=("normalize", "sep", "reduce", "experiment"))
-    p.add_argument("json", nargs="?", help="JSON input file ('-' or absent: stdin)")
-    p.add_argument(
-        "--witness-bound",
-        type=int,
-        default=2,
-        help="reduce: witness search depth (default 2); each candidate is tested as it is built",
-    )
-    p.add_argument("--seed", type=int, default=0, help="experiment RNG seed (default 0)")
-    p.add_argument("--bound", type=int, default=50, help="experiment sample count (default 50)")
+    # Each op has a parser of its own, so that its JSON file may come before or
+    # after the flags.  The flags are accepted before the op too; an op's parser
+    # sets one only when it is given, so no default overwrites a flag given there.
+    ops = p.add_subparsers(dest="op", required=True)
+    parsers = [p]
+    for op in ("normalize", "sep", "reduce", "experiment"):
+        q = ops.add_parser(op)
+        if op != "experiment":
+            q.add_argument("json", nargs="?", help="JSON input file ('-' or absent: stdin)")
+        parsers.append(q)
+    for q in parsers:
+        for flag, default, text in (
+            ("--witness-bound", 2, "reduce: witness search depth (default 2); each candidate is tested as it is built"),
+            ("--seed", 0, "experiment RNG seed (default 0)"),
+            ("--bound", 50, "experiment sample count (default 50)"),
+        ):
+            q.add_argument(flag, type=int, default=default if q is p else argparse.SUPPRESS, help=text)
     p = add("render", cmd_render, json_arg=True, field=True, help="standalone SVG of a polygon with overlays")
     p.add_argument("--svg", help="write the SVG here instead of stdout")
     p = add("selftest", cmd_selftest, help="run the deterministic invariant suite")

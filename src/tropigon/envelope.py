@@ -14,10 +14,12 @@ as that arc in the encoding of `polygeom.SymPolygon`: integers over a
 denominator `scale`, in lowest terms by `polygeom.lowest_terms`, so that
 equal envelopes compare and hash equal.  BOTTOM is the empty arc, over scale
 1 like EMPTY, and the zero envelope is the origin, like ZERO.  `lines` is the
-rational view of the arc.  `tmax` and `tplus` are the hull of the union and
-of the pairwise sums of two arcs over a common denominator, as `hull_union`
-and `minkowski_sum` are for polygons, so all are exact and BOTTOM and zero
-need no case of their own.
+rational view of the arc.  Over a common denominator, `tmax` is the hull of
+the union of two arcs, as `hull_union` is for polygons, and `tplus` is their
+Minkowski sum by `polygeom.chain_sum`, as `minkowski_sum` is: an arc starts
+at its lexicographically greatest point and every edge points strictly
+between the directions (0, 1) and (-1, 0), so the merged arc is the arc of
+the sum.  All are exact, and BOTTOM and zero need no case of their own.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -31,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
-from .polygeom import SymPolygon, convex_hull, lowest_terms, over_lcm, to_grid
+from .polygeom import SymPolygon, chain_sum, convex_hull, lowest_terms, over_lcm, to_grid
 from .quadfield import field
 
 Line = tuple[Fraction, Fraction]
@@ -103,7 +105,7 @@ def tmax(f: Envelope, g: Envelope) -> Envelope:
 
 def tplus(f: Envelope, g: Envelope) -> Envelope:
     p, q, s = over_lcm(f.arc, f.scale, g.arc, g.scale)
-    return Envelope.from_grid({(a + c, b + d) for a, b in p for c, d in q}, s)
+    return Envelope(*lowest_terms(s, chain_sum(p, q)))
 
 
 def eval_at(f: Envelope, t: Fraction):

@@ -5,13 +5,20 @@ in lowest terms: divided by gcd(scale, *coordinates), so that equal polygons
 compare and hash equal.  EMPTY is the empty hull and ZERO the origin alone,
 both over scale 1; any other hull is a proper polygon.  `Envelope` stores its
 values the same way, and the point helpers below (`to_grid`, `over_lcm`,
-`lowest_terms`) are shared by both.  Every kernel is the hull of integer
-points over a common denominator, so everything is exact, and the empty set
-and the origin need no case of their own.  The canonical sector vertices
-(one per unit orbit, argument in [0, 2*pi/sigma), sorted by increasing
-argument) are one cyclic run of the hull, and `sector_elements` gives them as
-elements of K through `quadfield.from_affix`.  `sector` and `orbit_points` are
-rational plane views of the hull, kept for callers that read plane points.
+`lowest_terms`) are shared by both.  Every kernel works on integer points
+over a common denominator, so everything is exact, and the empty set and the
+origin need no case of their own.  Stored hulls start at their
+lexicographically least vertex, where `convex_hull` starts.  `hull_union` is
+the hull of a union; `minkowski_sum` merges the two hulls' edges by angle
+(`chain_sum`, linear in the vertex count); `scale_act` maps the vertices,
+because multiplying by a nonzero scalar keeps them the vertices of the
+image.  Only `from_grid` input and `hull_union` go through `convex_hull`.
+
+The canonical sector vertices (one per unit orbit, argument in
+[0, 2*pi/sigma), sorted by increasing argument) are one cyclic run of the
+hull, and `sector_elements` gives them as elements of K through
+`quadfield.from_affix`.  `sector` and `orbit_points` are rational plane
+views of the hull, kept for callers that read plane points.
 """
 
 from __future__ import annotations
@@ -92,12 +99,52 @@ def _orbit_expand(f: Field, pts, scale):
     return {q for x, y in pts for q in ((x, y), (-x, -y))}, scale
 
 
+def _edges(chain):
+    # the edge vectors chain[i + 1] - chain[i]; a closed hull is walked as hull + hull[:1]
+    return [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(chain, chain[1:])]
+
+
+def chain_sum(p, q):
+    """The Minkowski sum of two convex chains, by merging their edges by angle.
+
+    Precondition: p and q are walks over integer vertices, CCW with strict
+    turns, that start at their extreme vertex in one shared direction: closed
+    hulls walked as hull + hull[:1] from the lexicographically least vertex,
+    or envelope arcs from the greatest.  Then two edges that the merge
+    compares are less than pi apart, so one cross product orders them.  The
+    sum starts at p[0] + q[0] and joins parallel edges, so its turns are
+    strict too; O(len(p) + len(q)) steps.  A single point walked as (v, v)
+    has a zero edge, which joins the other chain's first edge.  An empty
+    chain gives [].
+    """
+    if not p or not q:
+        return []
+    e, f = _edges(p), _edges(q)
+    steps = []
+    i = j = 0
+    while i < len(e) and j < len(f):
+        (ax, ay), (bx, by) = e[i], f[j]
+        c = ax * by - ay * bx
+        if c >= 0:
+            i += 1
+        if c <= 0:
+            j += 1
+        steps.append((ax, ay) if c > 0 else (bx, by) if c < 0 else (ax + bx, ay + by))
+    x, y = p[0][0] + q[0][0], p[0][1] + q[0][1]
+    out = [(x, y)]
+    for dx, dy in steps + e[i:] + f[j:]:
+        x += dx
+        y += dy
+        out.append((x, y))
+    return out
+
+
 def _edge_normals(hull):
     # the primitive outward normal of each edge hull[i] -> hull[i + 1] of a CCW hull
     out = []
-    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
-        g = math.gcd(bx - ax, by - ay)
-        out.append(((by - ay) // g, (ax - bx) // g))
+    for ex, ey in _edges(hull + hull[:1]):
+        g = math.gcd(ex, ey)
+        out.append((ey // g, -ex // g))
     return out
 
 
@@ -208,17 +255,23 @@ def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
 def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     same_field(a, b)
     p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
-    return SymPolygon._from_orbit(a.field, {(x1 + x2, y1 + y2) for x1, y1 in p for x2, y2 in q}, s)
+    # both hulls start at their least vertex, and the closed sum ends where it starts
+    return SymPolygon(a.field, *lowest_terms(s, chain_sum(p + p[:1], q + q[:1])[:-1]))
 
 
 def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
     same_field(mu, a)
-    # mu is the plane point (u, v) over case*den; multiplying by it is a
-    # similarity that commutes with the units, so the image of the hull is the new hull
+    # mu is the plane point (u, v) over case*den.  For mu != 0, multiplying by it
+    # is linear with determinant u^2 + d*v^2 > 0 and commutes with the units, so
+    # the image of the CCW hull is the new hull, with strict turns; it only has to
+    # start at its least vertex again.  mu = 0 sends every vertex to the origin.
     f = a.field
     u, v = mu.num.affix()
     pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
-    return SymPolygon._from_orbit(f, pts, a.scale * f.case * mu.den)
+    if not (u or v):
+        pts = pts[:1]
+    i = min(range(len(pts)), key=pts.__getitem__, default=0)
+    return SymPolygon(f, *lowest_terms(a.scale * f.case * mu.den, pts[i:] + pts[:i]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropigon import wire
+from tropigon import cli, wire
 from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
 from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
 from tropigon.adelic import MAX_NAMED_PRIME
@@ -635,6 +635,31 @@ def test_tensor_reduce():
     )
     assert code == 0
     assert out["status"] == "equal" and out["witness"] == one
+
+
+def test_tensor_file_before_or_after_the_flags(tmp_path, capsys):
+    one = {"pairs": [[{"lines": [[0, 1, 0, 1]]}, {"lines": [[0, 1, 0, 1]]}]]}
+    t = {"pairs": [[ENV_SQ, ENV_2SQ]]}
+    requests = {
+        "normalize": t,
+        "sep": {"A": t, "B": {"pairs": [[ENV_2SQ, ENV_SQ]]}},
+        "reduce": {"x": {"a": t, "b": one}, "y": {"a": t, "b": one}},
+    }
+    for op, request in requests.items():
+        path = tmp_path / f"{op}.json"
+        path.write_text(json.dumps(request))
+        code, want, _ = run(["tensor", op, "--witness-bound", "4"], json.dumps(request))
+        assert code == 0
+        # the flag after the file, before it, and before the op; a flag over its cap shows that it arrived
+        for wb in ("4", str(MAX_WITNESS_BOUND + 1)):
+            for argv in ([op, str(path), "--witness-bound", wb], [op, "--witness-bound", wb, str(path)],
+                         ["--witness-bound", wb, op, str(path)]):
+                code = cli.main(["tensor", *argv])
+                out = capsys.readouterr().out
+                if wb == "4":
+                    assert (code, out) == (0, want)
+                else:
+                    assert code == 2 and json.loads(out)["kind"] == "malformed-input"
 
 
 def test_tensor_experiment_deterministic():

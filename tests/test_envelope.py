@@ -419,14 +419,23 @@ degenerate_envelopes = st.sampled_from([Envelope.bottom(), Envelope.zero()])
 degenerate_polygons = st.sampled_from([SymPolygon.empty(field(1)), SymPolygon.zero(field(1))])
 
 
-@given(
-    st.one_of(degenerate_envelopes, tie_heavy_envelopes()),
-    st.one_of(degenerate_envelopes, tie_heavy_envelopes()),
-    st.one_of(degenerate_polygons, rational_gaussian_polygons()),
-)
+@st.composite
+def envelope_chains(draw):
+    """Accumulated tplus sums of up to eight tie-heavy envelopes, summed by the oracle."""
+    acc = Envelope.of(draw(tie_heavy_lines()))
+    for lines in draw(st.lists(tie_heavy_lines(), min_size=1, max_size=8)):
+        acc = _branchy_tplus(acc, Envelope.of(lines))
+    return acc
+
+
+operand_envelopes = st.one_of(degenerate_envelopes, tie_heavy_envelopes(), envelope_chains())
+
+
+@given(operand_envelopes, operand_envelopes, st.one_of(degenerate_polygons, rational_gaussian_polygons()))
 def test_kernels_match_the_branchy_oracles(f, g, p):
     _same(tmax(f, g), _branchy_tmax(f, g))
     _same(tplus(f, g), _branchy_tplus(f, g))
+    _same(tplus(f, f), _branchy_tplus(f, f))
     _same(phi(p), _branchy_phi(p))
     assert phi_inv(phi(p)) == p
 

@@ -30,7 +30,8 @@ from tropigon import (
     sector_decompose,
     stalk_scale,
 )
-from tropigon import wire
+from tropigon import envelope, polygeom, wire
+from tropigon.envelope import Envelope, tmax, tplus
 from tropigon.errors import NotProper, WrongField, ZeroInput
 from tropigon.polygeom import (
     GeneratorDecomposition,
@@ -580,9 +581,46 @@ def _branchy_scale_act(mu, a):
     return _branchy_from_orbit(f, pts, a.scale * w)
 
 
+def _round_polygon(f):
+    # one edge along each primitive direction (a, b) with |a|, b <= 9 of the
+    # upper half-plane, by increasing angle, then back along their negatives,
+    # centred on the origin: 108 to 224 orbit vertices in the nine fields
+    dirs = [(a, b) for a in range(-9, 10) for b in range(10) if math.gcd(a, b) == 1 and (b or a > 0)]
+    dirs.sort(key=cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
+    x, y = -sum(a for a, _ in dirs), -sum(b for _, b in dirs)
+    half = []
+    for a, b in dirs:
+        half.append((x, y))
+        x, y = x + 2 * a, y + 2 * b
+    return SymPolygon.from_grid(f, half, 1)
+
+
+def _square(f, k):
+    # the orbit of (k, k) and (k, -k): for sigma = 2 an axis-parallel square, so
+    # a sum of two squares joins every pair of edges
+    return SymPolygon.from_grid(f, [(k, k), (k, -k)], 1)
+
+
+@st.composite
+def chains(draw, f):
+    """Accumulated Minkowski sums, like the benchmark's minkowski_chain: up to
+    about 100 orbit vertices, summed by the oracle."""
+    acc = draw(st.one_of(polygons(f, allow_degenerate=False), rational_polygons(f)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    for _ in range(rng.randint(1, 30)):
+        if len(acc.hull) >= 100:
+            break
+        # a ring multiple turns the summand's edges, so the sum gains directions
+        mu = QuadRat(QuadInt(f, rng.randint(-3, 3), rng.randint(-3, 3)), 1)
+        acc = _branchy_minkowski_sum(acc, _branchy_scale_act(mu, random_polygon(rng, f, span=2, degenerate_rate=0)))
+    return acc
+
+
 def operands(f):
-    fixed = st.sampled_from([SymPolygon.empty(f), SymPolygon.zero(f), dk(f)])
-    return st.one_of(fixed, polygons(f), rational_polygons(f))
+    fixed = [SymPolygon.empty(f), SymPolygon.zero(f), dk(f), _square(f, 1), _square(f, 2)]
+    # for d = 3 the orbit of (1, 0) holds (1/2, 1/2), so the grid stays doubled
+    fixed += [SymPolygon.from_grid(f, [(1, 0), (0, 1)], 1), _round_polygon(f)]
+    return st.one_of(st.sampled_from(fixed), polygons(f), rational_polygons(f), chains(f))
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
@@ -595,6 +633,47 @@ def test_kernels_match_the_branchy_oracles(d, data):
     _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
     _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
     assert a.tag == (EMPTY if not a.hull else ZERO if a.hull == ((0, 0),) else PROPER)
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+def test_parallel_edges_join(d):
+    f = field(d)
+    base, two = dk(f), QuadRat.from_int(f, 2)
+    for a, b in ((base, base), (base, scale_act(two, base)), (_square(f, 1), _square(f, 2))):
+        out = minkowski_sum(a, b)
+        _same_stored_form(out, _branchy_minkowski_sum(a, b))
+        # b is a multiple of a, so every edge of b is parallel to one of a
+        assert len(out.hull) == len(a.hull)
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+def test_linear_kernels_build_no_hull(d, monkeypatch):
+    # counts repeat exactly where wall time does not: minkowski_sum, tplus and
+    # scale_act on a chain of 100 or more orbit vertices make no convex_hull call
+    f, rng = field(d), random.Random(d)
+    a, b = _round_polygon(f), random_polygon(rng, f, degenerate_rate=0)
+    assert len(a.hull) >= 100
+    mu = QuadRat.make(QuadInt(f, 3, -2), 5)
+    arc = Envelope.from_grid([(-(k * k), -((100 - k) ** 2)) for k in range(101)], 1)
+    assert len(arc.arc) == 101
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(polygeom, "convex_hull", counted)
+    monkeypatch.setattr(envelope, "convex_hull", counted)
+    _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
+    _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
+    _same_stored_form(scale_act(QuadRat.from_int(f, 0), a), SymPolygon.zero(f))
+    out = tplus(arc, arc)
+    assert calls == []
+    assert (out.scale, out.arc) == (1, tuple((2 * x, 2 * y) for x, y in arc.arc))
+    # the counter sees the kernels that still build a hull
+    hull_union(a, b)
+    tmax(arc, arc)
+    assert len(calls) == 2
 
 
 # The selftest generator as it was before it built from integer affixes: each
