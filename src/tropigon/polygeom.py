@@ -12,7 +12,9 @@ lexicographically least vertex, where `convex_hull` starts.  `hull_union` is
 the hull of a union; `minkowski_sum` merges the two hulls' edges by angle
 (`chain_sum`, linear in the vertex count); `scale_act` maps the vertices,
 because multiplying by a nonzero scalar keeps them the vertices of the
-image.  Only `from_grid` input and `hull_union` go through `convex_hull`.
+image.  Only `from_grid` input and `hull_union` go through `convex_hull`:
+the membership search's sector cover is one `from_grid` call, and its
+candidates m*D_K are D_K's hull mapped by m, with no polygon built for them.
 
 The canonical sector vertices (one per unit orbit, argument in
 [0, 2*pi/sigma), sorted by increasing argument) are one cyclic run of the
@@ -137,6 +139,11 @@ def chain_sum(p, q):
         y += dy
         out.append((x, y))
     return out
+
+
+def _mul_affix(f: Field, pts, u: int, v: int):
+    # each point (x, y) times the plane point (u, v), as (x + y*sqrt(d)i)(u + v*sqrt(d)i)
+    return [(x * u - f.d * y * v, x * v + y * u) for x, y in pts]
 
 
 def _edge_normals(hull):
@@ -267,7 +274,7 @@ def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
     # start at its least vertex again.  mu = 0 sends every vertex to the origin.
     f = a.field
     u, v = mu.num.affix()
-    pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
+    pts = _mul_affix(f, a.hull, u, v)
     if not (u or v):
         pts = pts[:1]
     i = min(range(len(pts)), key=pts.__getitem__, default=0)
@@ -290,12 +297,9 @@ class GeneratorDecomposition:
 
 
 def _sector_cover(f: Field, sector_ints) -> SymPolygon:
-    # the hull union of the s*D_K over ring elements s
-    base = dk(f)
-    acc = SymPolygon.empty(f)
-    for s in sector_ints:
-        acc = hull_union(acc, scale_act(QuadRat(s, 1), base))
-    return acc
+    # the hull union of the s*D_K over ring elements s: s*D_K is the hull of
+    # the unit orbits of s and s*omega, so the union is one orbit hull
+    return SymPolygon.from_grid(f, [q.affix() for s in sector_ints for q in (s, s * f.omega)], f.case)
 
 
 def membership_in_generated(
@@ -327,13 +331,17 @@ def membership_in_generated(
         g0, _, _ = gcd(g0, h.num * (den // h.den))
     g = QuadRat.make(g0, den)
 
+    def times_g(m: QuadInt) -> QuadRat:
+        # g*m as one ring product: no QuadRat wrap of m and no second field check
+        return QuadRat.make(g.num * m, g.den)
+
     scaled = scale_act(g.inverse(), p)
     if any(q.den != 1 for q in scaled.sector_elements):
         return False, None
     sector_ints = [q.num for q in scaled.sector_elements]
 
     if _sector_cover(f, sector_ints) == scaled:
-        dec = GeneratorDecomposition(tuple((g * s,) for s in sector_ints))
+        dec = GeneratorDecomposition(tuple((times_g(s),) for s in sector_ints))
         return True, dec
     if f.d in (1, 3):
         # with enough symmetries the sector decomposition is exact, so this
@@ -344,20 +352,25 @@ def membership_in_generated(
     bound = max(s.norm() for s in sector_ints)
     if bound > MAX_MEMBERSHIP_NORM:
         raise OutOfBudget(f"membership search norm bound {bound} is over {MAX_MEMBERSHIP_NORM}")
+    # m*D_K is D_K's hull mapped by m's affix: m != 0 is linear with positive
+    # determinant and commutes with the units, so the mapped hull is CCW with
+    # strict turns.  Every candidate is left over one scale, bscale, unrotated
+    # and unreduced, and tested against `scaled` with `_covers`.
     base = dk(f)
-    cand: list[tuple[QuadInt, SymPolygon]] = []
+    bscale = base.scale * f.case
+    cand: list[tuple[QuadInt, list[tuple[int, int]]]] = []
     for m in enumerate_norm_le(f, bound):
         if not m.in_sector():
             continue
-        q = scale_act(QuadRat(m, 1), base)
-        if scaled.contains_polygon(q):
-            cand.append((m, q))
+        pts = _mul_affix(f, base.hull, *m.affix())
+        if _covers(scaled.hull, scaled.scale, pts, bscale):
+            cand.append((m, pts))
 
     # Each node is a polygon's integer support vector over a direction set N:
     # the primitive outward edge normals of `scaled` (first, so that `limit`
     # is a prefix of N) and of every candidate, then for each vertex v of
     # `scaled` the sum n1 + n2 of the normals of its two edges.  The values
-    # are integers over L, the lcm of all the scales.  This is exact:
+    # are integers over big = lcm(scaled.scale, bscale).  This is exact:
     # - support functions add, h_{A+B} = h_A + h_B, so a child is the sum of
     #   its parent's vector and its candidate's;
     # - a Minkowski sum's edge normals are the union of its summands', so
@@ -372,26 +385,30 @@ def membership_in_generated(
     #   vertex of `scaled` lies in one of them, as the extreme points of a
     #   hull lie in the union;
     # - every polygon here is symmetric under -1, so h(-n) = h(n), and N
-    #   keeps each direction only up to sign (`_upper`).
+    #   keeps each direction only up to sign (`_upper`);
+    # - none of this depends on the order of N, or on a common scale larger
+    #   than the lcm of the reduced ones, which multiplies every vector by
+    #   one positive constant.
     # So the queue order, the first multiset per node and the answer are
-    # those of the search on polygons, and no polygon is built per node.
+    # those of the search on polygons, and no polygon is built per node or
+    # per candidate.
     from operator import add, le
 
     own = _edge_normals(scaled.hull)
     corners = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in zip(own[-1:] + own[:-1], own)]
     walls = list(dict.fromkeys(map(_upper, own)))
-    others = [n for _, q in cand for n in _edge_normals(q.hull)] + corners
+    others = [n for _, pts in cand for n in _edge_normals(pts)] + corners
     dirs = list(dict.fromkeys(walls + [_upper(n) for n in others]))
-    big = math.lcm(scaled.scale, *(q.scale for _, q in cand))
+    big = math.lcm(scaled.scale, bscale)
 
-    def support(a: SymPolygon) -> tuple[int, ...]:
-        k = big // a.scale
-        return tuple(max(nx * x + ny * y for x, y in a.hull) * k for nx, ny in dirs)
+    def support(hull, scale: int) -> tuple[int, ...]:
+        k = big // scale
+        return tuple(max(nx * x + ny * y for x, y in hull) * k for nx, ny in dirs)
 
-    top = support(scaled)
+    top = support(scaled.hull, scaled.scale)
     limit = top[: len(walls)]
     tips = dict.fromkeys(dirs.index(_upper(c)) for c in corners)
-    vecs = [(m, support(q)) for m, q in cand]
+    vecs = [(m, support(pts, bscale)) for m, pts in cand]
 
     def mkey(m: QuadInt):
         return (m.a, m.b)
@@ -419,7 +436,7 @@ def membership_in_generated(
 
     if not all(any(v[i] == top[i] for v in seen) for i in tips):
         return False, None
-    dec = GeneratorDecomposition(tuple(tuple(g * m for m in ms) for ms in seen.values()))
+    dec = GeneratorDecomposition(tuple(tuple(map(times_g, ms)) for ms in seen.values()))
     return True, dec
 
 

@@ -2,7 +2,7 @@
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -804,13 +804,13 @@ def _same_membership(p, gens=None):
 
 
 @st.composite
-def bfs_requests(draw):
-    # a polygon over a field where membership runs the search, with a norm
-    # bound under MAX_MEMBERSHIP_NORM, and maybe a generator that the
-    # polygon is scaled by
+def bfs_requests(draw, ds=BFS_DS):
+    # a polygon over a field of ds (by default those where membership runs
+    # the search), with a norm bound under MAX_MEMBERSHIP_NORM, and maybe a
+    # generator that the polygon is scaled by
     if draw(st.booleans()):
         # at most 387, for 3 + 3*omega and d = 163
-        f = field(draw(st.sampled_from(BFS_DS)))
+        f = field(draw(st.sampled_from(ds)))
         coords = draw(st.lists(st.tuples(span3, span3).filter(any), min_size=1, max_size=3))
         grid = [QuadInt(f, a, b).affix() for a, b in coords]
         try:
@@ -820,7 +820,7 @@ def bfs_requests(draw):
     else:
         # the hull of sums of small generators, a member by construction; at
         # most 315 for d <= 19, from 3*(1 + omega)*omega
-        f = field(draw(st.sampled_from(BFS_DS[:4])))
+        f = field(draw(st.sampled_from(ds[:4])))
         unit = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).filter(any)
         p = SymPolygon.empty(f)
         for ms in draw(st.lists(st.lists(unit, min_size=1, max_size=3), min_size=1, max_size=3)):
@@ -837,6 +837,12 @@ def bfs_requests(draw):
 
 @given(bfs_requests())
 def test_membership_matches_the_polygon_search(request):
+    _same_membership(*request)
+
+
+@given(bfs_requests((1, 3)))
+def test_sector_membership_matches_the_polygon_search(request):
+    # d in {1, 3} answers from the sector cover alone
     _same_membership(*request)
 
 
@@ -860,3 +866,51 @@ def test_counterexamples_match_the_polygon_search(d):
     ok, _ = _same_membership(SymPolygon.from_grid(f, [long_vertex.affix(), f.omega.affix()], f.case))
     assert not ok
 
+
+def _old_sector_cover(f, ints):
+    # the sector cover as it was: k hull_unions of k scale_acts of D_K
+    acc = SymPolygon.empty(f)
+    for s in ints:
+        acc = hull_union(acc, scale_act(QuadRat(s, 1), dk(f)))
+    return acc
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+@given(st.lists(st.tuples(span3, span3).filter(any), min_size=1, max_size=4))
+def test_sector_cover_matches_the_union_of_scaled_bases(d, coords):
+    f = field(d)
+    ints = [QuadInt(f, a, b) for a, b in coords]
+    _same_stored_form(polygeom._sector_cover(f, ints), _old_sector_cover(f, ints))
+    _same_stored_form(polygeom._sector_cover(f, ints[:1]), _old_sector_cover(f, ints[:1]))
+    # for d = 3 the orbit of 1 holds (1/2, 1/2), so this cover keeps scale 2
+    _same_stored_form(polygeom._sector_cover(f, [f.one]), dk(f))
+    if d in (1, 3):
+        # every sector vertex of an integral orbit hull is a ring element
+        p = SymPolygon.from_grid(f, [q.affix() for q in ints], f.case)
+        _same_stored_form(reconstruct_lemma_polygon(p), _old_sector_cover(f, sector_decompose(p)))
+        _same_stored_form(reconstruct_lemma_polygon(p), p)
+
+
+def test_membership_builds_no_polygon_per_candidate(monkeypatch):
+    # counts repeat exactly where wall time does not.  The search maps D_K's
+    # hull by each candidate m, so one call makes one scale_act (the target
+    # over g), one convex_hull (the sector cover) and their two lowest_terms,
+    # however many candidates it tests.
+    p = _family(7, 4)
+    dk(p.field)  # cached before counting
+    calls = Counter()
+
+    def count(name):
+        inner = getattr(polygeom, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(polygeom, name, counted)
+
+    for name in ("scale_act", "lowest_terms", "convex_hull"):
+        count(name)
+    ok, dec = membership_in_generated(p)
+    assert ok and len(dec.summand_sets) > 4
+    assert calls == {"scale_act": 1, "lowest_terms": 2, "convex_hull": 1}
