@@ -429,7 +429,7 @@ class PrimeFiber:
             n0 = max(n0, -valuation(q, self.prime))
         # scaling by pi is monotone, so search upward from the first integral level;
         # for d in {1, 3} integrality already decides, elsewhere scan a short window
-        tries = 1 if f.d in (1, 3) else 3
+        tries = 1 if f.sigma > 2 else 3
         for n in range(n0, n0 + tries):
             ok, _ = membership_in_generated(scale_act(_prime_pow(self.prime, n), poly))
             if ok:

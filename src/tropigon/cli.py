@@ -66,12 +66,6 @@ from .tensorlab import (
 MAX_EXPERIMENT_SAMPLES = 1_000
 
 
-def _capped(value: int, cap: int, flag: str) -> int:
-    if value > cap:
-        raise MalformedInput(f"{flag} must be <= {cap}")
-    return value
-
-
 def _load_json(args) -> object:
     path = args.json
     try:
@@ -175,7 +169,7 @@ def cmd_dual(args) -> dict:
 
 def cmd_primes(args) -> dict:
     f = _field_flag(args, required=True)
-    bound = _capped(args.bound, MAX_PRIME_BOUND, "--bound")
+    bound = wire.at_most(args.bound, MAX_PRIME_BOUND, "--bound")
     if bound < 2:
         raise MalformedInput("--bound must be >= 2")
     return {
@@ -239,9 +233,9 @@ def _reduced(data: dict, key: str) -> ReducedElement:
 
 
 def cmd_tensor(args) -> dict | int:
-    wb = _capped(args.witness_bound, MAX_WITNESS_BOUND, "--witness-bound")
+    wb = wire.at_most(args.witness_bound, MAX_WITNESS_BOUND, "--witness-bound")
     if args.op == "experiment":
-        samples = _capped(args.bound, MAX_EXPERIMENT_SAMPLES, "--bound")
+        samples = wire.at_most(args.bound, MAX_EXPERIMENT_SAMPLES, "--bound")
         for rec in cancellativity_experiment(samples, seed=args.seed):
             for key in ("a", "a_prime", "c"):
                 rec[key] = wire.tensor_to_json(rec[key])

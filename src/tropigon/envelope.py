@@ -19,7 +19,9 @@ the union of two arcs, as `hull_union` is for polygons, and `tplus` is their
 Minkowski sum by `polygeom.chain_sum`, as `minkowski_sum` is: an arc starts
 at its lexicographically greatest point and every edge points strictly
 between the directions (0, 1) and (-1, 0), so the merged arc is the arc of
-the sum.  All are exact, and BOTTOM and zero need no case of their own.
+the sum, and `leq` is the half-plane test `polygeom.covers` on g's arc
+closed by its two end directions.  All are exact, and BOTTOM and zero need
+no case of their own.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -33,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
-from .polygeom import SymPolygon, chain_sum, convex_hull, lowest_terms, over_lcm, to_grid
+from .polygeom import SymPolygon, chain_sum, convex_hull, covers, lowest_terms, over_lcm, to_grid
 from .quadfield import field
 
 Line = tuple[Fraction, Fraction]
@@ -125,20 +127,17 @@ def leq(f: Envelope, g: Envelope) -> bool:
 
     A line of f minus g is concave and piecewise linear with kinks only at
     g's breakpoints, so f <= g holds exactly when every line of f is at most
-    g at t = 0, at t = 1 and at each breakpoint of g.  These are the
-    directions (1, 0), (0, 1) and the outward normal (b1 - b0, a0 - a1) of
-    each edge of g's arc, where g's value is a0*b1 - a1*b0; the comparison
-    is cross-multiplied over the two scales.
+    g at t = 0, at t = 1 and at each breakpoint of g.  So f's points lie
+    inside each edge of g's arc walked from (a0, b0 - 1) to (a1 - 1, b1):
+    the step in has normal (1, 0) and value a0 = g(0), the step out normal
+    (0, 1) and value b1 = g(1).  `polygeom.covers` tests that walk.
     """
     if not f.arc:
         return True
     if not g.arc:
         return False
-    arc = g.arc
-    probes = [(1, 0, arc[0][0]), (0, 1, arc[-1][1])]
-    probes += [(b1 - b0, a0 - a1, a0 * b1 - a1 * b0) for (a0, b0), (a1, b1) in zip(arc, arc[1:])]
-    sf, sg = f.scale, g.scale
-    return all((a * u + b * w) * sg <= v * sf for a, b in f.arc for u, w, v in probes)
+    (a0, b0), (a1, b1) = g.arc[0], g.arc[-1]
+    return covers(((a0, b0 - 1),) + g.arc + ((a1 - 1, b1),), g.scale, f.arc, f.scale)
 
 
 def phi(p: SymPolygon) -> Envelope:

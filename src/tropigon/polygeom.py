@@ -15,6 +15,8 @@ because multiplying by a nonzero scalar keeps them the vertices of the
 image.  Only `from_grid` input and `hull_union` go through `convex_hull`:
 the membership search's sector cover is one `from_grid` call, and its
 candidates m*D_K are D_K's hull mapped by m, with no polygon built for them.
+`covers` is the one half-plane test: `contains_polygon`, the membership
+candidate filter and `envelope.leq` all call it.
 
 The canonical sector vertices (one per unit orbit, argument in
 [0, 2*pi/sigma), sorted by increasing argument) are one cyclic run of the
@@ -160,10 +162,10 @@ def _upper(n):
     return n if n > (0, 0) else (-n[0], -n[1])
 
 
-def _covers(hull, s: int, pts, t: int) -> bool:
-    # every point (x/t, y/t) lies in the CCW integer hull over denominator s:
-    # cross(b - a, p - a) >= 0 for each edge a -> b, multiplied through by s*t
-    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+def covers(walk, s: int, pts, t: int) -> bool:
+    """Every point (x/t, y/t) has cross(b - a, p - a) >= 0, times s*t, for each
+    edge a -> b of the integer walk over s; a closed hull walks hull + hull[:1]."""
+    for (ax, ay), (bx, by) in zip(walk, walk[1:]):
         ex, ey = bx - ax, by - ay
         c = t * (ex * ay - ey * ax)
         for x, y in pts:
@@ -239,7 +241,7 @@ class SymPolygon:
     def contains_polygon(self, other: SymPolygon) -> bool:
         if self.tag != PROPER:
             return other.tag == EMPTY or self.tag == other.tag
-        return _covers(self.hull, self.scale, other.hull, other.scale)
+        return covers(self.hull + self.hull[:1], self.scale, other.hull, other.scale)
 
     def __repr__(self):
         if self.tag != PROPER:
@@ -343,7 +345,7 @@ def membership_in_generated(
     if _sector_cover(f, sector_ints) == scaled:
         dec = GeneratorDecomposition(tuple((times_g(s),) for s in sector_ints))
         return True, dec
-    if f.d in (1, 3):
+    if f.sigma > 2:
         # with enough symmetries the sector decomposition is exact, so this
         # polygon is not in the semiring
         return False, None
@@ -355,15 +357,16 @@ def membership_in_generated(
     # m*D_K is D_K's hull mapped by m's affix: m != 0 is linear with positive
     # determinant and commutes with the units, so the mapped hull is CCW with
     # strict turns.  Every candidate is left over one scale, bscale, unrotated
-    # and unreduced, and tested against `scaled` with `_covers`.
+    # and unreduced, and tested against `scaled` with `covers`.
     base = dk(f)
     bscale = base.scale * f.case
+    walk = scaled.hull + scaled.hull[:1]
     cand: list[tuple[QuadInt, list[tuple[int, int]]]] = []
     for m in enumerate_norm_le(f, bound):
         if not m.in_sector():
             continue
         pts = _mul_affix(f, base.hull, *m.affix())
-        if _covers(scaled.hull, scaled.scale, pts, bscale):
+        if covers(walk, scaled.scale, pts, bscale):
             cand.append((m, pts))
 
     # Each node is a polygon's integer support vector over a direction set N:
@@ -441,7 +444,7 @@ def membership_in_generated(
 
 
 def sector_decompose(p: SymPolygon) -> list[QuadInt]:
-    if p.field.d not in (1, 3):
+    if p.field.sigma == 2:
         raise WrongField("sector decomposition needs the d=1 or d=3 unit group")
     if p.tag != PROPER:
         raise NotProper("sector decomposition of a degenerate value")

@@ -53,24 +53,18 @@ class Field:
     def discriminant(self) -> int:
         return self.trace_omega**2 - 4 * self.norm_omega
 
-    @property
+    @cached_property
     def sigma(self) -> int:
-        if self.d == 1:
-            return 4
-        if self.d == 3:
-            return 6
-        return 2
+        return len(self.units)
 
     @cached_property
     def units(self) -> tuple[QuadInt, ...]:
-        one = QuadInt(self, 1, 0)
-        if self.d == 1:
-            i = QuadInt(self, 0, 1)
-            return (one, i, -one, -i)
-        if self.d == 3:
-            w = QuadInt(self, 0, 1)
-            return (one, w, w - one, -one, -w, one - w)
-        return (one, -one)
+        # the powers of one generator: omega when it is a unit (d = 1, 3), else -1
+        gen = self.omega if self.norm_omega == 1 else -self.one
+        out = [self.one]
+        while (u := out[-1] * gen) != self.one:
+            out.append(u)
+        return tuple(out)
 
     @cached_property
     def omega(self) -> QuadInt:

@@ -52,6 +52,11 @@ def _expect(cond: bool, msg: str):
         raise MalformedInput(msg)
 
 
+def at_most(value: int, cap: int, what: str) -> int:
+    _expect(value <= cap, f"{what} must be <= {cap}")
+    return value
+
+
 def _as_int(v, what: str) -> int:
     _expect(isinstance(v, int) and not isinstance(v, bool), f"{what} must be an integer")
     return v
@@ -168,8 +173,7 @@ def _named_p(data) -> int:
     _expect({"p", "kind", "gen"} <= set(v), 'prime needs "p", "kind", "gen"')
     p = _as_int(v["p"], "p")
     _expect(p >= 2, "p must be >= 2")
-    _expect(p <= MAX_NAMED_PRIME, f"p must be <= {MAX_NAMED_PRIME}")
-    return p
+    return at_most(p, MAX_NAMED_PRIME, "p")
 
 
 def prime_from_json(f: Field, data) -> PrimeIdeal:
@@ -208,7 +212,7 @@ def vector_from_json(f: Field, data) -> ValuationVector:
     primes = _named_primes(f, [p for p, _ in entries] + as_list(v.get("free", []), "free"))
     exps = [(prime, _as_int(e, "exponent")) for prime, (_, e) in zip(primes, entries)]
     bits = sum(abs(e) * prime.p.bit_length() for prime, e in exps)
-    _expect(bits <= MAX_VECTOR_BITS, f"sum of |e| * bit length of p must be <= {MAX_VECTOR_BITS}")
+    at_most(bits, MAX_VECTOR_BITS, "sum of |e| * bit length of p")
     return ValuationVector.make(f, exps, primes[len(exps) :])
 
 
@@ -242,8 +246,7 @@ def section_to_json(s: FiniteSection) -> dict:
 
 def section_from_json(f: Field, data) -> FiniteSection:
     v = as_dict(data, "section")
-    bound = _as_int(v.get("bound", 200), "bound")
-    _expect(bound <= MAX_PRIME_BOUND, f"bound must be <= {MAX_PRIME_BOUND}")
+    bound = at_most(_as_int(v.get("bound", 200), "bound"), MAX_PRIME_BOUND, "bound")
     entries = _entries(as_list(v.get("values", []), "values"), "section entry", ("prime", "value"))
     primes = _named_primes(f, [p for p, _ in entries])
     values = [(prime, quadrat_from_json(f, x)) for prime, (_, x) in zip(primes, entries)]

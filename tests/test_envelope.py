@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropigon import (
+    HEEGNER_DS,
     Envelope,
     PlanePoint,
     QuadInt,
@@ -25,6 +26,7 @@ from tropigon import (
     tmax,
     tplus,
 )
+from tropigon import envelope
 from tropigon.envelope import NEG_INF
 from tropigon.errors import NotProper, OutOfDomain, WrongField
 from tropigon.polygeom import convex_hull
@@ -446,3 +448,47 @@ def test_phi_round_trips_the_degenerate_values():
         _same(phi(p), e)
         assert (phi_inv(e).scale, phi_inv(e).hull) == (p.scale, p.hull)
         assert phi_inv(e) == p and hash(phi_inv(e)) == hash(p)
+
+
+def _old_leq(f: Envelope, g: Envelope) -> bool:
+    """The probe-loop leq, kept as the oracle of the leq that walks g's arc."""
+    if not f.arc:
+        return True
+    if not g.arc:
+        return False
+    arc = g.arc
+    probes = [(1, 0, arc[0][0]), (0, 1, arc[-1][1])]
+    probes += [(b1 - b0, a0 - a1, a0 * b1 - a1 * b0) for (a0, b0), (a1, b1) in zip(arc, arc[1:])]
+    sf, sg = f.scale, g.scale
+    return all((a * u + b * w) * sg <= v * sf for a, b in f.arc for u, w, v in probes)
+
+
+def _unreduced(e, k):
+    # the same envelope over a k-fold scale, not in lowest terms
+    return Envelope(e.scale * k, tuple((a * k, b * k) for a, b in e.arc))
+
+
+@st.composite
+def hull_arcs(draw):
+    """The arc of an orbit hull in any of the nine fields, ZERO and D_K included."""
+    f = field(draw(st.sampled_from(HEEGNER_DS)))
+    pts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=3))
+    try:
+        p = SymPolygon.from_grid(f, pts, draw(st.integers(1, 4)))
+    except NotProper:
+        p = dk(f)
+    return envelope._arc(p.hull, p.scale)
+
+
+one_point_arcs = st.builds(lambda a, b: Envelope.of([(a, b)]), small, small)
+leq_operands = st.one_of(degenerate_envelopes, one_point_arcs, tie_heavy_envelopes(), hull_arcs())
+
+
+@given(envelope_pairs(), leq_operands, leq_operands, st.integers(1, 5), st.integers(1, 5))
+@example((Envelope.zero(), Envelope.zero()), Envelope.bottom(), Envelope.zero(), 1, 3)
+@example((_env((1, 2)), _env((1, 2))), _env((0, 5)), _env((5, 0)), 2, 1)
+def test_leq_matches_the_probe_loop(pair, f, g, j, k):
+    cases = [pair, pair[::-1], (f, g), (g, f), (f, f)]
+    cases += [(_unreduced(x, j), _unreduced(y, k)) for x, y in cases]
+    for x, y in cases:
+        assert leq(x, y) == _old_leq(x, y)

@@ -96,3 +96,24 @@ def test_no_branch_on_field_case():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_branch_on_d_in_a_tuple():
+    # the unit group is read through Field.units and Field.sigma, so outside
+    # quadfield no `.d` is tested against a literal list of fields
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quadfield.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Attribute)
+                and node.left.attr == "d"
+                and any(
+                    isinstance(op, (ast.In, ast.NotIn)) and isinstance(c, ast.Tuple)
+                    for op, c in zip(node.ops, node.comparators)
+                )
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

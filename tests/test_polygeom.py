@@ -35,9 +35,9 @@ from tropigon.envelope import Envelope, tmax, tplus
 from tropigon.errors import NotProper, WrongField, ZeroInput
 from tropigon.polygeom import (
     GeneratorDecomposition,
-    _covers,
     _orbit_expand,
     convex_hull,
+    covers,
     enumerate_norm_le,
     to_grid,
 )
@@ -457,7 +457,7 @@ def _contains_point(a, pt):
     # the point test of the removed SymPolygon.contains, on the kernel contains_polygon uses
     if a.tag != PROPER:
         return a.tag == ZERO and (pt.x, pt.y) == (0, 0)
-    return _covers(a.hull, a.scale, *to_grid([(pt.x, pt.y)]))
+    return covers(a.hull + a.hull[:1], a.scale, *to_grid([(pt.x, pt.y)]))
 
 
 @st.composite
@@ -616,11 +616,12 @@ def chains(draw, f):
     return acc
 
 
-def operands(f):
+def operands(f, chained=True):
     fixed = [SymPolygon.empty(f), SymPolygon.zero(f), dk(f), _square(f, 1), _square(f, 2)]
     # for d = 3 the orbit of (1, 0) holds (1/2, 1/2), so the grid stays doubled
     fixed += [SymPolygon.from_grid(f, [(1, 0), (0, 1)], 1), _round_polygon(f)]
-    return st.one_of(st.sampled_from(fixed), polygons(f), rational_polygons(f), chains(f))
+    kinds = [st.sampled_from(fixed), polygons(f), rational_polygons(f)]
+    return st.one_of(*kinds, chains(f)) if chained else st.one_of(*kinds)
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
@@ -633,6 +634,40 @@ def test_kernels_match_the_branchy_oracles(d, data):
     _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
     _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
     assert a.tag == (EMPTY if not a.hull else ZERO if a.hull == ((0, 0),) else PROPER)
+
+
+def _old_covers(hull, s: int, pts, t: int) -> bool:
+    # every point (x/t, y/t) lies in the CCW integer hull over denominator s:
+    # cross(b - a, p - a) >= 0 for each edge a -> b, multiplied through by s*t
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        ex, ey = bx - ax, by - ay
+        c = t * (ex * ay - ey * ax)
+        for x, y in pts:
+            if s * (ex * y - ey * x) < c:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+@given(st.data())
+def test_covers_matches_the_closed_hull_kernel(d, data):
+    # covers on the closed walk against the former kernel, which closed the
+    # hull itself.  The point sets come over a k-fold, unreduced scale: the
+    # other operand's hull, the walked hull's vertices nudged by at most one
+    # grid step (on, just inside and just outside its edges), and free points.
+    f = field(d)
+    a, b = data.draw(operands(f, chained=False)), data.draw(operands(f, chained=False))
+    k = data.draw(st.integers(1, 6))
+    nudge = st.sampled_from([-1, 0, 0, 1])
+    point_sets = [
+        ([(x * k, y * k) for x, y in b.hull], b.scale * k),
+        ([(x * k + data.draw(nudge), y * k + data.draw(nudge)) for x, y in a.hull], a.scale * k),
+        (data.draw(st.lists(st.tuples(small, small), max_size=4)), data.draw(st.integers(1, 6))),
+    ]
+    for pts, t in point_sets:
+        assert covers(a.hull + a.hull[:1], a.scale, pts, t) == _old_covers(a.hull, a.scale, pts, t)
+    old = _old_covers(a.hull, a.scale, b.hull, b.scale) if a.tag == PROPER else b.tag in (EMPTY, a.tag)
+    assert a.contains_polygon(b) == old
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)

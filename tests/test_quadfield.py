@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tropigon import HEEGNER_DS, QuadInt, QuadRat, field, gcd
 from tropigon.errors import BothZero, DivByZero, FieldMismatch, ZeroInput
-from tropigon.quadfield import PlanePoint, canonical_unit_rep, div_exact, divides, enumerate_norm_le, from_affix
+from tropigon.quadfield import Field, PlanePoint, canonical_unit_rep, div_exact, divides, enumerate_norm_le, from_affix
 
 EUCLIDEAN_DS = (1, 2, 3, 7, 11)
 
@@ -261,6 +261,26 @@ def test_affix_round_trip(x, u, v, s):
     # from_affix inverts the map on every integer point over every scale
     assert QuadRat.make(from_affix(f, u, v), s).plane() == PlanePoint(Fraction(u, s), Fraction(v, s))
     assert from_affix(f, u, v).affix() == (c * u, c * v)
+
+
+def _old_units(f):
+    # the hand-written unit tables the generator powers replaced
+    one = QuadInt(f, 1, 0)
+    if f.d == 1:
+        i = QuadInt(f, 0, 1)
+        return (one, i, -one, -i)
+    if f.d == 3:
+        w = QuadInt(f, 0, 1)
+        return (one, w, w - one, -one, -w, one - w)
+    return (one, -one)
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+def test_units_match_the_hand_written_tables(d):
+    f = Field(d)  # a fresh instance, so nothing is cached yet
+    assert f.units == _old_units(f)
+    assert f.sigma == {1: 4, 3: 6}.get(d, 2) == len(set(f.units))
+    assert all(u.is_unit() for u in f.units)
 
 
 @given(quadints())
