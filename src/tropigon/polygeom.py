@@ -13,10 +13,13 @@ the hull of a union; `minkowski_sum` merges the two hulls' edges by angle
 (`chain_sum`, linear in the vertex count); `scale_act` maps the vertices,
 because multiplying by a nonzero scalar keeps them the vertices of the
 image.  Only `from_grid` input and `hull_union` go through `convex_hull`:
-the membership search's sector cover is one `from_grid` call, and its
-candidates m*D_K are D_K's hull mapped by m, with no polygon built for them.
-`covers` is the one half-plane test: `contains_polygon`, the membership
-candidate filter and `envelope.leq` all call it.
+the membership search's sector cover is one `from_grid` call.  Its
+candidates m*D_K are the lattice points (a, b) of one polygon, an interval
+of a per row b found by floor division (`_candidates`), each D_K's hull
+mapped by m with no polygon built for it, and each polygon the search
+reaches is its support vector packed into one int.  `covers` is the one
+half-plane test: `contains_polygon`, on half of a symmetric hull, and
+`envelope.leq` call it.
 
 The canonical sector vertices (one per unit orbit, argument in
 [0, 2*pi/sigma), sorted by increasing argument) are one cyclic run of the
@@ -32,9 +35,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import lshift
 
 from .errors import NotLattice, NotProper, OutOfBudget, WrongField, ZeroInput
-from .quadfield import Field, PlanePoint, QuadInt, QuadRat, enumerate_norm_le, from_affix, gcd, same_field
+from .quadfield import Field, PlanePoint, QuadInt, QuadRat, from_affix, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
@@ -148,10 +152,11 @@ def _mul_affix(f: Field, pts, u: int, v: int):
     return [(x * u - f.d * y * v, x * v + y * u) for x, y in pts]
 
 
-def _edge_normals(hull):
-    # the primitive outward normal of each edge hull[i] -> hull[i + 1] of a CCW hull
+def _half_normals(hull):
+    # the primitive outward normals of the first half of the edges of a
+    # centrally symmetric CCW hull: edge i + len(hull)/2 is edge i negated
     out = []
-    for ex, ey in _edges(hull + hull[:1]):
+    for ex, ey in _edges(hull[: len(hull) // 2 + 1]):
         g = math.gcd(ex, ey)
         out.append((ey // g, -ex // g))
     return out
@@ -241,7 +246,9 @@ class SymPolygon:
     def contains_polygon(self, other: SymPolygon) -> bool:
         if self.tag != PROPER:
             return other.tag == EMPTY or self.tag == other.tag
-        return covers(self.hull + self.hull[:1], self.scale, other.hull, other.scale)
+        # both hulls are symmetric under -1: a point of `other` outside edge i
+        # + len/2 has its negative, also a point of `other`, outside edge i
+        return covers(self.hull[: len(self.hull) // 2 + 1], self.scale, other.hull, other.scale)
 
     def __repr__(self):
         if self.tag != PROPER:
@@ -304,6 +311,50 @@ def _sector_cover(f: Field, sector_ints) -> SymPolygon:
     return SymPolygon.from_grid(f, [q.affix() for s in sector_ints for q in (s, s * f.omega)], f.case)
 
 
+def _candidates(scaled: SymPolygon, walls, bound: int) -> list[tuple[QuadInt, list[tuple[int, int]]]]:
+    """The m in the sector (b > 0, or b = 0 < a) with m*D_K inside `scaled`,
+    b ascending, then a, each with D_K's hull mapped by m over
+    dk(f).scale*case, unrotated and unreduced.
+
+    For d not in {1, 3}: `walls` are `_half_normals(scaled.hull)` and `bound`
+    is at least the norm of each vertex of `scaled`.  Both polygons are
+    symmetric under -1, so m*D_K lies in `scaled` exactly when |n.(m*q)| <= h
+    for each wall n and each q of the first half of D_K's hull, where h is
+    n's value on `scaled` over D_K's scale, rounded down.  n.(m*q) =
+    alpha*a + beta*b, so on each row b the admissible a are one interval.
+    The norm is largest at a vertex, so every such m has norm at most
+    `bound`, and rows past that bound hold none.  m != 0 acts linearly with
+    positive determinant and commutes with the units, so the mapped hull is
+    CCW with strict turns.
+    """
+    f = scaled.field
+    base = dk(f)
+    bscale = base.scale * f.case
+    tr, d, c = f.trace_omega, f.d, f.case
+    half = scaled.hull[: len(scaled.hull) // 2]
+    ineqs = []
+    for nx, ny in walls:
+        h = max(abs(nx * x + ny * y) for x, y in half) * bscale // scaled.scale
+        for qx, qy in base.hull[: len(base.hull) // 2]:
+            # m's affix is (c*a + tr*b, b) over c
+            al, be = c * (nx * qx + ny * qy), nx * (tr * qx - d * qy) + ny * (qx + tr * qy)
+            ineqs.append((al, be, h) if al >= 0 else (-al, -be, h))
+    out = []
+    for b in range(math.isqrt(4 * bound // -f.discriminant) + 1):
+        # D_K's first half spans the plane, so some alpha > 0 bounds both ends
+        lo, hi = (1 if b == 0 else -math.inf), math.inf
+        for al, be, h in ineqs:
+            if al:
+                lo, hi = max(lo, -((h + be * b) // al)), min(hi, (h - be * b) // al)
+            elif abs(be * b) > h:
+                break
+        else:
+            for a in range(lo, hi + 1):
+                m = QuadInt(f, a, b)
+                out.append((m, _mul_affix(f, base.hull, *m.affix())))
+    return out
+
+
 def membership_in_generated(
     p: SymPolygon, gens: list[QuadRat] | None = None
 ) -> tuple[bool, GeneratorDecomposition | None]:
@@ -354,24 +405,12 @@ def membership_in_generated(
     bound = max(s.norm() for s in sector_ints)
     if bound > MAX_MEMBERSHIP_NORM:
         raise OutOfBudget(f"membership search norm bound {bound} is over {MAX_MEMBERSHIP_NORM}")
-    # m*D_K is D_K's hull mapped by m's affix: m != 0 is linear with positive
-    # determinant and commutes with the units, so the mapped hull is CCW with
-    # strict turns.  Every candidate is left over one scale, bscale, unrotated
-    # and unreduced, and tested against `scaled` with `covers`.
-    base = dk(f)
-    bscale = base.scale * f.case
-    walk = scaled.hull + scaled.hull[:1]
-    cand: list[tuple[QuadInt, list[tuple[int, int]]]] = []
-    for m in enumerate_norm_le(f, bound):
-        if not m.in_sector():
-            continue
-        pts = _mul_affix(f, base.hull, *m.affix())
-        if covers(walk, scaled.scale, pts, bscale):
-            cand.append((m, pts))
+    walls = _half_normals(scaled.hull)
+    cand = _candidates(scaled, walls, bound)
 
     # Each node is a polygon's integer support vector over a direction set N:
-    # the primitive outward edge normals of `scaled` (first, so that `limit`
-    # is a prefix of N) and of every candidate, then for each vertex v of
+    # the primitive outward edge normals of `scaled` (first, so that they are
+    # the first lanes below) and of every candidate, then for each vertex v of
     # `scaled` the sum n1 + n2 of the normals of its two edges.  The values
     # are integers over big = lcm(scaled.scale, bscale).  This is exact:
     # - support functions add, h_{A+B} = h_A + h_B, so a child is the sum of
@@ -380,66 +419,92 @@ def membership_in_generated(
     #   each reached polygon is the intersection of its half-planes over N,
     #   and two reached polygons are equal exactly when their vectors are;
     # - `scaled` is the intersection of its own half-planes, so a polygon
-    #   lies in it exactly when its vector is <= `limit` at those normals;
+    #   lies in it exactly when its vector is <= `top` at those normals;
     # - n1 + n2 lies strictly inside v's normal cone, where v is the only
     #   maximiser over `scaled`, so a polygon inside `scaled` contains v
     #   exactly when it is tight there: its h at n1 + n2 equals `scaled`'s;
     # - the hull of the reached polygons is `scaled` exactly when every
     #   vertex of `scaled` lies in one of them, as the extreme points of a
     #   hull lie in the union;
-    # - every polygon here is symmetric under -1, so h(-n) = h(n), and N
-    #   keeps each direction only up to sign (`_upper`);
+    # - every polygon here is symmetric under -1, so h(n) = h(-n) is the
+    #   max of |n.p| over the first half of its hull, N keeps each direction
+    #   only up to sign (`_upper`), and the corners of the first half of
+    #   `scaled`'s vertices are, up to sign, those of all of them;
     # - none of this depends on the order of N, or on a common scale larger
     #   than the lcm of the reduced ones, which multiplies every vector by
     #   one positive constant.
     # So the queue order, the first multiset per node and the answer are
     # those of the search on polygons, and no polygon is built per node or
     # per candidate.
-    from operator import add, le
-
-    own = _edge_normals(scaled.hull)
-    corners = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in zip(own[-1:] + own[:-1], own)]
-    walls = list(dict.fromkeys(map(_upper, own)))
-    others = [n for _, pts in cand for n in _edge_normals(pts)] + corners
-    dirs = list(dict.fromkeys(walls + [_upper(n) for n in others]))
+    #
+    # A vector is packed into one int, lane i holding its value at N[i] in
+    # w bits from bit w*i, with w = (2*max(top)).bit_length() + 1:
+    # - every lane is nonnegative: each candidate and each reached polygon
+    #   contains the origin, and lies in `scaled`, so its value at N[i] is
+    #   in [0, top[i]];
+    # - a child is a node plus a candidate, so each of its lanes is at most
+    #   2*max(top) < 2**(w - 1): adding packed ints carries out of no lane,
+    #   and the lane's top bit, its guard bit, stays clear;
+    # - in lim, wall lane i holds top[i] with the guard bit set, so
+    #   lim - (child & wallmask) is, lane by lane, 2**(w - 1) + top[i] -
+    #   child[i], in (0, 2**w): no lane borrows, and the guard bit survives
+    #   exactly when child[i] <= top[i].
+    # A node's multiset is a sorted tuple of candidate ranks in (a, b) order.
+    bscale = dk(f).scale * f.case
+    prev = [(-walls[-1][0], -walls[-1][1])] + walls[:-1]
+    corners = [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in zip(prev, walls)]
+    others = [n for _, pts in cand for n in _half_normals(pts)] + corners
+    dirs = list(dict.fromkeys(map(_upper, walls + others)))
     big = math.lcm(scaled.scale, bscale)
 
-    def support(hull, scale: int) -> tuple[int, ...]:
+    def support(hull, scale: int) -> list[int]:
         k = big // scale
-        return tuple(max(nx * x + ny * y for x, y in hull) * k for nx, ny in dirs)
+        out = [0] * len(dirs)
+        for x, y in hull[: len(hull) // 2]:
+            out = list(map(max, out, [abs(nx * x + ny * y) for nx, ny in dirs]))
+        return [v * k for v in out]
 
     top = support(scaled.hull, scaled.scale)
-    limit = top[: len(walls)]
-    tips = dict.fromkeys(dirs.index(_upper(c)) for c in corners)
-    vecs = [(m, support(pts, bscale)) for m, pts in cand]
+    w = (2 * max(top)).bit_length() + 1
 
-    def mkey(m: QuadInt):
-        return (m.a, m.b)
+    def pack(vals) -> int:
+        return sum(map(lshift, vals, range(0, w * len(vals), w)))
 
-    seen: dict[tuple[int, ...], tuple[QuadInt, ...]] = {}
+    nw = len(walls)
+    wallmask = (1 << (w * nw)) - 1
+    guard = pack([1 << (w - 1)] * nw)
+    lim = pack(top[:nw]) | guard
+    mask = (1 << w) - 1
+    tips = [(w * i, top[i]) for i in dict.fromkeys(dirs.index(_upper(c)) for c in corners)]
+    ms = sorted((m for m, _ in cand), key=lambda m: (m.a, m.b))
+    rank = {m: r for r, m in enumerate(ms)}
+    vecs = [(rank[m], pack(support(pts, bscale))) for m, pts in cand]
+
+    seen: dict[int, tuple[int, ...]] = {}
     queue = deque()
 
-    def reach(v: tuple[int, ...], ms: tuple[QuadInt, ...]):
-        seen[v] = ms
+    def reach(v: int, rs: tuple[int, ...]):
+        seen[v] = rs
         queue.append(v)
         if len(seen) > MAX_MEMBERSHIP_NODES:
             raise OutOfBudget(f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes")
 
-    for m, v in vecs:
+    for r, v in vecs:
         if v not in seen:
-            reach(v, (m,))
+            reach(v, (r,))
     while queue:
         cur = queue.popleft()
-        ms = seen[cur]
-        for m, v in vecs:
-            nxt = tuple(map(add, cur, v))
-            if nxt in seen or not all(map(le, nxt, limit)):
+        rs = seen[cur]
+        for r, v in vecs:
+            nxt = cur + v
+            if nxt in seen or (lim - (nxt & wallmask)) & guard != guard:
                 continue
-            reach(nxt, tuple(sorted(ms + (m,), key=mkey)))
+            reach(nxt, tuple(sorted(rs + (r,))))
 
-    if not all(any(v[i] == top[i] for v in seen) for i in tips):
+    if not all(any((v >> s) & mask == t for v in seen) for s, t in tips):
         return False, None
-    dec = GeneratorDecomposition(tuple(tuple(map(times_g, ms)) for ms in seen.values()))
+    gm = [times_g(m) for m in ms]
+    dec = GeneratorDecomposition(tuple(tuple(gm[r] for r in rs) for rs in seen.values()))
     return True, dec
 
 

@@ -47,7 +47,7 @@ from tropigon.errors import (
     ZeroInput,
     ZeroModule,
 )
-from tropigon.polygeom import enumerate_norm_le
+from tropigon.quadfield import enumerate_norm_le
 
 F1 = field(1)
 

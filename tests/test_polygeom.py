@@ -30,18 +30,19 @@ from tropigon import (
     sector_decompose,
     stalk_scale,
 )
-from tropigon import envelope, polygeom, wire
+from tropigon import envelope, polygeom, quadfield, wire
 from tropigon.envelope import Envelope, tmax, tplus
 from tropigon.errors import NotProper, WrongField, ZeroInput
 from tropigon.polygeom import (
     GeneratorDecomposition,
+    MAX_MEMBERSHIP_NORM,
+    _mul_affix,
     _orbit_expand,
     convex_hull,
     covers,
-    enumerate_norm_le,
     to_grid,
 )
-from tropigon.quadfield import PlanePoint, gcd
+from tropigon.quadfield import PlanePoint, enumerate_norm_le, gcd
 from tropigon.selftest import random_polygon
 
 fields = st.sampled_from([field(d) for d in HEEGNER_DS])
@@ -671,6 +672,24 @@ def test_covers_matches_the_closed_hull_kernel(d, data):
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
+@given(st.data())
+def test_contains_on_nested_and_touching_pairs(d, data):
+    # contains_polygon walks half of the hull; pairs that share vertices or
+    # edges, or nest one step apart, against the Fraction kernel
+    f = field(d)
+    pick = st.one_of(polygons(f), rational_polygons(f), st.sampled_from([dk(f), _square(f, 1), _square(f, 2)]))
+    a, b = data.draw(pick), data.draw(pick)
+    k = data.draw(st.integers(1, 4))
+    inner, outer = QuadRat.make(QuadInt(f, k, 0), k + 1), QuadRat.make(QuadInt(f, k + 1, 0), k)
+    u, unit = hull_union(a, b), QuadRat(f.units[-1], 1)
+    pairs = [(a, a), (u, a), (u, b), (minkowski_sum(a, b), a), (a, scale_act(unit, a))]
+    pairs += [(a, scale_act(inner, a)), (a, scale_act(outer, a)), (u, scale_act(outer, b))]
+    for x, y in pairs:
+        assert x.contains_polygon(y) == _old_contains_polygon(x, y)
+        assert y.contains_polygon(x) == _old_contains_polygon(y, x)
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
 def test_parallel_edges_join(d):
     f = field(d)
     base, two = dk(f), QuadRat.from_int(f, 2)
@@ -930,22 +949,83 @@ def test_membership_builds_no_polygon_per_candidate(monkeypatch):
     # counts repeat exactly where wall time does not.  The search maps D_K's
     # hull by each candidate m, so one call makes one scale_act (the target
     # over g), one convex_hull (the sector cover) and their two lowest_terms,
-    # however many candidates it tests.
+    # however many candidates it tests.  It reads the candidates off lattice
+    # rows, with no norm enumeration and no half-plane test per candidate.
     p = _family(7, 4)
     dk(p.field)  # cached before counting
     calls = Counter()
 
-    def count(name):
-        inner = getattr(polygeom, name)
-
+    def count(name, inner):
         def counted(*args):
             calls[name] += 1
             return inner(*args)
 
-        monkeypatch.setattr(polygeom, name, counted)
+        # raising=False: a name polygeom does not bind is bound to the counter
+        monkeypatch.setattr(polygeom, name, counted, raising=False)
 
-    for name in ("scale_act", "lowest_terms", "convex_hull"):
-        count(name)
+    for name in ("scale_act", "lowest_terms", "convex_hull", "covers"):
+        count(name, getattr(polygeom, name))
+    count("enumerate_norm_le", quadfield.enumerate_norm_le)
     ok, dec = membership_in_generated(p)
     assert ok and len(dec.summand_sets) > 4
     assert calls == {"scale_act": 1, "lowest_terms": 2, "convex_hull": 1}
+
+
+# The candidate filter as it was before the lattice rows: every element of
+# norm <= bound, kept when it lies in the sector and m*D_K passes covers.
+
+
+def _old_candidates(scaled, bound):
+    f = scaled.field
+    base = dk(f)
+    bscale = base.scale * f.case
+    walk = scaled.hull + scaled.hull[:1]
+    out = []
+    for m in enumerate_norm_le(f, bound):
+        if not m.in_sector():
+            continue
+        pts = _mul_affix(f, base.hull, *m.affix())
+        if covers(walk, scaled.scale, pts, bscale):
+            out.append((m, pts))
+    return out
+
+
+def _same_candidates(p, gens=None):
+    # the target over g as membership_in_generated forms it, for a single generator
+    g = gens[0] if gens else QuadRat.from_int(p.field, 1)
+    scaled = scale_act(g.inverse(), p)
+    if scaled.tag != PROPER or any(q.den != 1 for q in scaled.sector_elements):
+        return None
+    bound = max(q.num.norm() for q in scaled.sector_elements)
+    assert bound <= MAX_MEMBERSHIP_NORM
+    walls = polygeom._half_normals(scaled.hull)
+    assert polygeom._candidates(scaled, walls, bound) == _old_candidates(scaled, bound)
+    return scaled, walls
+
+
+@given(bfs_requests())
+def test_lattice_row_candidates_match_the_norm_enumeration(request):
+    _same_candidates(*request)
+
+
+@pytest.mark.parametrize("d", BFS_DS)
+def test_lattice_row_candidates_at_the_edges(d):
+    f = field(d)
+    half = dk(f).hull[: len(dk(f).hull) // 2]
+    scales = set()
+    for k in range(1, 12):
+        # a horizontal wall is orthogonal to D_K's vertex on the real axis,
+        # so its a-coefficient is 0; over scale > 1 through a generator
+        sq = _square(f, k)
+        if max(q.num.norm() for q in sq.sector_elements) > MAX_MEMBERSHIP_NORM:
+            break
+        for gen in (None, [QuadRat.make(f.one + f.omega, 2)], [QuadRat.make(QuadInt(f, 1, -1), 3)]):
+            p = sq if gen is None else scale_act(gen[0], sq)
+            scales.add(p.scale)
+            _, walls = _same_candidates(p, gen)
+            assert any(nx * qx + ny * qy == 0 for nx, ny in walls for qx, qy in half)
+    assert max(scales) > 2
+    for n in (2, 3, 4, 5) if d in (2, 7) else ():
+        _same_candidates(_family(d, n))
+    # a long vertex of norm 20**2, the largest bound the search takes
+    _same_candidates(SymPolygon.from_grid(f, [QuadInt(f, 20, 0).affix(), f.omega.affix()], f.case))
