@@ -14,14 +14,20 @@ as that arc in the encoding of `polygeom.SymPolygon`: integers over a
 denominator `scale`, in lowest terms by `polygeom.lowest_terms`, so that
 equal envelopes compare and hash equal.  BOTTOM is the empty arc, over scale
 1 like EMPTY, and the zero envelope is the origin, like ZERO.  `lines` is the
-rational view of the arc.  Over a common denominator, `tmax` is the hull of
-the union of two arcs, as `hull_union` is for polygons, and `tplus` is their
-Minkowski sum by `polygeom.chain_sum`, as `minkowski_sum` is: an arc starts
-at its lexicographically greatest point and every edge points strictly
-between the directions (0, 1) and (-1, 0), so the merged arc is the arc of
-the sum, and `leq` is the half-plane test `polygeom.covers` on g's arc
-closed by its two end directions.  All are exact, and BOTTOM and zero need
-no case of their own.
+rational view of the arc: the CCW hull vertices, strict turns only, from the
+point maximizing (a, b) lexicographically to the one maximizing (b, a), so
+slopes b - a increase.  `from_grid` builds it by one
+`polygeom.monotone_chain` pass over the points sorted in reverse, the upper
+hull from the greatest point, cut at its first highest point; `phi` cuts a
+stored hull's upper chain.  Over a common denominator, `tmax` is `from_grid`
+on the union of two arcs (descending runs, which the sort merges), as
+`hull_union` is for polygons, and `tplus` is their Minkowski sum by
+`polygeom.chain_sum`, as `minkowski_sum` is: an arc starts at its
+lexicographically greatest point and every edge points strictly between the
+directions (0, 1) and (-1, 0), so the merged arc is the arc of the sum, and
+`leq` is the half-plane test `polygeom.covers` on g's arc closed by its two
+end directions.  All are exact, and BOTTOM and zero need no case of their
+own.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -35,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
-from .polygeom import SymPolygon, chain_sum, convex_hull, covers, lowest_terms, over_lcm, to_grid
+from .polygeom import SymPolygon, chain_sum, covers, lowest_terms, monotone_chain, over_lcm, to_grid
 from .quadfield import field
 
 Line = tuple[Fraction, Fraction]
@@ -43,22 +49,11 @@ Line = tuple[Fraction, Fraction]
 NEG_INF = float("-inf")
 
 
-def _arc(hull, scale: int) -> Envelope:
-    """The envelope of the lines (x/scale, y/scale) at the vertices of a CCW hull.
-
-    Its lines are the vertices of the counter-clockwise hull arc from the
-    point maximizing (a, b) lexicographically to the one maximizing (b, a):
-    the arc's outward normals are the directions (1 - t, t), and its slopes
-    b - a increase along it.  The hull keeps strict turns only, so a line
-    that meets the envelope in a single point is dropped.  An empty hull is
-    BOTTOM.
-    """
-    if not hull:
-        return Envelope.bottom()
-    i = hull.index(max(hull))
-    j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
-    arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
-    return Envelope(*lowest_terms(scale, arc))
+def _cut(upper, scale: int) -> Envelope:
+    # an upper hull chain from its greatest point, up to its first highest
+    # point: the one maximizing (b, a).  An empty chain is BOTTOM.
+    i = max(range(len(upper)), key=lambda i: upper[i][1], default=-1)
+    return Envelope(*lowest_terms(scale, upper[: i + 1]))
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,7 @@ class Envelope:
     @staticmethod
     def from_grid(pts, scale: int) -> Envelope:
         """The envelope of the lines (x/scale, y/scale) for integer points (x, y)."""
-        return _arc(convex_hull(pts), scale)
+        return _cut(monotone_chain(sorted(pts, reverse=True)), scale)
 
     @staticmethod
     def zero() -> Envelope:
@@ -143,8 +138,8 @@ def leq(f: Envelope, g: Envelope) -> bool:
 def phi(p: SymPolygon) -> Envelope:
     if p.field.d != 1:
         raise WrongField("the functional dual is built for d=1")
-    # the stored orbit hull is CCW with strict turns already
-    return _arc(p.hull, p.scale)
+    # a stored hull's upper chain is its second half closed by its first vertex
+    return _cut(p.hull[len(p.hull) // 2 :] + p.hull[:1], p.scale)
 
 
 def phi_inv(f: Envelope) -> SymPolygon:

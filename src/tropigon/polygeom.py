@@ -8,18 +8,19 @@ values the same way, and the point helpers below (`to_grid`, `over_lcm`,
 `lowest_terms`) are shared by both.  Every kernel works on integer points
 over a common denominator, so everything is exact, and the empty set and the
 origin need no case of their own.  Stored hulls start at their
-lexicographically least vertex, where `convex_hull` starts.  `hull_union` is
-the hull of a union; `minkowski_sum` merges the two hulls' edges by angle
-(`chain_sum`, linear in the vertex count); `scale_act` maps the vertices,
-because multiplying by a nonzero scalar keeps them the vertices of the
-image.  Only `from_grid` input and `hull_union` go through `convex_hull`:
-the membership search's sector cover is one `from_grid` call.  Its
-candidates m*D_K are the lattice points (a, b) of one polygon, an interval
-of a per row b found by floor division (`_candidates`), each D_K's hull
-mapped by m with no polygon built for it, and each polygon the search
-reaches is its support vector packed into one int.  `covers` is the one
-half-plane test: `contains_polygon`, on half of a symmetric hull, and
-`envelope.leq` call it.
+lexicographically least vertex and are symmetric under -1, so a kernel
+builds only the lower chain (`_lower`) and mirrors it (`_mirror`).
+`from_grid` and `hull_union`, on the two lower chains, make one
+`monotone_chain` pass, the only hull routine; `minkowski_sum` merges the
+two lower chains' edges by angle (`chain_sum`, linear in the vertex count);
+`scale_act` maps the vertices, because multiplying by a nonzero scalar keeps
+them the vertices of the image.  The membership search's sector cover is
+one `from_grid` call.  Its candidates m*D_K are the lattice points (a, b) of
+one polygon, an interval of a per row b found by floor division
+(`_candidates`), each D_K's hull mapped by m with no polygon built for it,
+and each polygon the search reaches is its support vector packed into one
+int.  `covers` is the one half-plane test: `contains_polygon`, on a lower
+chain, and `envelope.leq` call it.
 
 The canonical sector vertices (one per unit orbit, argument in
 [0, 2*pi/sigma), sorted by increasing argument) are one cyclic run of the
@@ -73,28 +74,31 @@ def lowest_terms(scale: int, pts):
     return scale // g, tuple((x // g, y // g) for x, y in pts)
 
 
-def convex_hull(points):
-    # Andrew monotone chain, CCW, strict turns only; may return < 3 points
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
+def monotone_chain(pts):
+    # Andrew's monotone chain (IPL 9(5), 1979) on points already sorted: the
+    # chain turning strictly left, the lower hull of ascending points and the
+    # upper hull of descending ones; only a repeated lone point stays doubled
+    out = []
+    for p in pts:
+        while len(out) >= 2:
+            ox, oy = out[-2]
+            ax, ay = out[-1]
+            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
+                out.pop()
+            else:
+                break
+        out.append(p)
+    return out
 
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
 
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return lower[:-1] + upper[:-1]
+def _lower(hull):
+    # a symmetric CCW hull's lower chain, from its least vertex to its greatest
+    return hull[: len(hull) // 2 + 1]
+
+
+def _mirror(lower):
+    # the symmetric CCW hull of a lower chain: its upper chain is that negated
+    return lower + [(-x, -y) for x, y in lower[1:-1]]
 
 
 def _orbit_expand(f: Field, pts, scale):
@@ -116,14 +120,13 @@ def chain_sum(p, q):
     """The Minkowski sum of two convex chains, by merging their edges by angle.
 
     Precondition: p and q are walks over integer vertices, CCW with strict
-    turns, that start at their extreme vertex in one shared direction: closed
-    hulls walked as hull + hull[:1] from the lexicographically least vertex,
+    turns, that start at their extreme vertex in one shared direction: lower
+    chains from the lexicographically least vertex (edges in (-pi/2, pi/2]),
     or envelope arcs from the greatest.  Then two edges that the merge
     compares are less than pi apart, so one cross product orders them.  The
     sum starts at p[0] + q[0] and joins parallel edges, so its turns are
-    strict too; O(len(p) + len(q)) steps.  A single point walked as (v, v)
-    has a zero edge, which joins the other chain's first edge.  An empty
-    chain gives [].
+    strict too; O(len(p) + len(q)) steps.  A single point has no edge, so
+    it moves the other chain.  An empty chain gives [].
     """
     if not p or not q:
         return []
@@ -153,10 +156,10 @@ def _mul_affix(f: Field, pts, u: int, v: int):
 
 
 def _half_normals(hull):
-    # the primitive outward normals of the first half of the edges of a
-    # centrally symmetric CCW hull: edge i + len(hull)/2 is edge i negated
+    # the primitive outward normals of the lower chain of a centrally
+    # symmetric CCW hull: edge i + len(hull)/2 is edge i negated
     out = []
-    for ex, ey in _edges(hull[: len(hull) // 2 + 1]):
+    for ex, ey in _edges(_lower(hull)):
         g = math.gcd(ex, ey)
         out.append((ey // g, -ex // g))
     return out
@@ -207,10 +210,10 @@ class SymPolygon:
         return SymPolygon._from_orbit(f, *_orbit_expand(f, grid, scale))
 
     @staticmethod
-    def _from_orbit(f: Field, orbit, scale: int) -> SymPolygon:
-        # orbit is closed under the units, so one hull point is the origin
-        # and two are a segment through it
-        hull = convex_hull(orbit)
+    def _from_orbit(f: Field, pts, scale: int) -> SymPolygon:
+        # pts hold a lower chain of a set closed under -1, so one hull point
+        # is the origin and two a segment through it; the set drops repeats
+        hull = _mirror(monotone_chain(sorted(set(pts))))
         if len(hull) == 2:
             raise NotProper("orbit hull has empty interior")
         return SymPolygon(f, *lowest_terms(scale, hull))
@@ -248,7 +251,7 @@ class SymPolygon:
             return other.tag == EMPTY or self.tag == other.tag
         # both hulls are symmetric under -1: a point of `other` outside edge i
         # + len/2 has its negative, also a point of `other`, outside edge i
-        return covers(self.hull[: len(self.hull) // 2 + 1], self.scale, other.hull, other.scale)
+        return covers(_lower(self.hull), self.scale, other.hull, other.scale)
 
     def __repr__(self):
         if self.tag != PROPER:
@@ -264,15 +267,15 @@ def dk(f: Field) -> SymPolygon:
 
 def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     same_field(a, b)
-    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
+    # the union's lower chain is that of the two operands' lower chains
+    p, q, s = over_lcm(_lower(a.hull), a.scale, _lower(b.hull), b.scale)
     return SymPolygon._from_orbit(a.field, p + q, s)
 
 
 def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     same_field(a, b)
-    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
-    # both hulls start at their least vertex, and the closed sum ends where it starts
-    return SymPolygon(a.field, *lowest_terms(s, chain_sum(p + p[:1], q + q[:1])[:-1]))
+    p, q, s = over_lcm(_lower(a.hull), a.scale, _lower(b.hull), b.scale)
+    return SymPolygon(a.field, *lowest_terms(s, _mirror(chain_sum(p, q))))
 
 
 def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:

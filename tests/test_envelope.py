@@ -26,10 +26,9 @@ from tropigon import (
     tmax,
     tplus,
 )
-from tropigon import envelope
 from tropigon.envelope import NEG_INF
 from tropigon.errors import NotProper, OutOfDomain, WrongField
-from tropigon.polygeom import convex_hull
+from test_polygeom import _old_arc, _old_convex_hull
 
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 lines_strategy = st.lists(st.tuples(rats, rats), min_size=1, max_size=5)
@@ -397,7 +396,7 @@ def _branchy_tmax(f, g):
     s = math.lcm(f.scale, g.scale)
     mf, mg = s // f.scale, s // g.scale
     pts = [(a * mf, b * mf) for a, b in f.arc] + [(a * mg, b * mg) for a, b in g.arc]
-    return _branchy_arc(convex_hull(pts), s)
+    return _branchy_arc(_old_convex_hull(pts), s)
 
 
 def _branchy_tplus(f, g):
@@ -406,7 +405,7 @@ def _branchy_tplus(f, g):
     s = math.lcm(f.scale, g.scale)
     mf, mg = s // f.scale, s // g.scale
     pts = {(a * mf + c * mg, b * mf + d * mg) for a, b in f.arc for c, d in g.arc}
-    return _branchy_arc(convex_hull(pts), s)
+    return _branchy_arc(_old_convex_hull(pts), s)
 
 
 def _branchy_phi(p):
@@ -477,7 +476,7 @@ def hull_arcs(draw):
         p = SymPolygon.from_grid(f, pts, draw(st.integers(1, 4)))
     except NotProper:
         p = dk(f)
-    return envelope._arc(p.hull, p.scale)
+    return _old_arc(p.hull, p.scale)
 
 
 one_point_arcs = st.builds(lambda a, b: Envelope.of([(a, b)]), small, small)

@@ -31,15 +31,17 @@ from tropigon import (
     stalk_scale,
 )
 from tropigon import envelope, polygeom, quadfield, wire
-from tropigon.envelope import Envelope, tmax, tplus
+from tropigon.envelope import Envelope, phi, tmax, tplus
 from tropigon.errors import NotProper, WrongField, ZeroInput
 from tropigon.polygeom import (
     GeneratorDecomposition,
     MAX_MEMBERSHIP_NORM,
     _mul_affix,
     _orbit_expand,
-    convex_hull,
+    chain_sum,
     covers,
+    lowest_terms,
+    over_lcm,
     to_grid,
 )
 from tropigon.quadfield import PlanePoint, enumerate_norm_le, gcd
@@ -390,6 +392,55 @@ def test_stored_form_of_d3_hexagons():
     assert (z.scale, z.hull, z.sector, z.orbit_points()) == (1, ((0, 0),), (), [origin])
 
 
+# The whole-hull kernels as they were before each value built one monotone
+# chain: Andrew's two passes over the sorted set, and the search of a CCW
+# hull for the two ends of an envelope's arc.  They stay here verbatim, as
+# oracles of the chain kernels and as the hull reduction of the other
+# oracles in this file and in tests/test_envelope.py.
+
+
+def _old_convex_hull(points):
+    # Andrew monotone chain, CCW, strict turns only; may return < 3 points
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                ox, oy = out[-2]
+                ax, ay = out[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = build(pts)
+    upper = build(reversed(pts))
+    return lower[:-1] + upper[:-1]
+
+
+def _old_arc(hull, scale: int) -> Envelope:
+    """The envelope of the lines (x/scale, y/scale) at the vertices of a CCW hull.
+
+    Its lines are the vertices of the counter-clockwise hull arc from the
+    point maximizing (a, b) lexicographically to the one maximizing (b, a):
+    the arc's outward normals are the directions (1 - t, t), and its slopes
+    b - a increase along it.  The hull keeps strict turns only, so a line
+    that meets the envelope in a single point is dropped.  An empty hull is
+    BOTTOM.
+    """
+    if not hull:
+        return Envelope.bottom()
+    i = hull.index(max(hull))
+    j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
+    arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
+    return Envelope(*lowest_terms(scale, arc))
+
+
 # The kernels below are the Fraction implementations the stored hull
 # replaced; they stay here as differential oracles.
 
@@ -400,7 +451,7 @@ def _old_grid(p):
         scale = math.lcm(scale, v.x.denominator, v.y.denominator)
     sector = [(int(v.x * scale), int(v.y * scale)) for v in p.sector]
     orbit, scale = _orbit_expand(p.field, sector, scale)
-    return scale, convex_hull(orbit)
+    return scale, _old_convex_hull(orbit)
 
 
 def _old_contains(p, pt):
@@ -535,7 +586,7 @@ def test_sector_matches_the_sorted_oracle(p):
 
 
 def _branchy_from_orbit(f, orbit, scale):
-    hull = convex_hull(orbit)
+    hull = _old_convex_hull(orbit)
     if not hull or all(p == (0, 0) for p in hull):
         return SymPolygon.zero(f)
     if len(hull) < 3:
@@ -637,6 +688,97 @@ def test_kernels_match_the_branchy_oracles(d, data):
     assert a.tag == (EMPTY if not a.hull else ZERO if a.hull == ((0, 0),) else PROPER)
 
 
+# The chain kernels against the whole-hull kernels they replaced: the polygon
+# kernels as they were, and the envelope kernels as _old_arc of a hull.
+
+
+def _old_from_grid(f, grid, scale):
+    orbit, scale = _orbit_expand(f, grid, scale)
+    hull = _old_convex_hull(orbit)
+    if len(hull) == 2:
+        raise NotProper("orbit hull has empty interior")
+    return SymPolygon(f, *lowest_terms(scale, hull))
+
+
+def _old_hull_union(a, b):
+    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
+    hull = _old_convex_hull(p + q)
+    if len(hull) == 2:
+        raise NotProper("orbit hull has empty interior")
+    return SymPolygon(a.field, *lowest_terms(s, hull))
+
+
+def _old_minkowski_sum(a, b):
+    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
+    return SymPolygon(a.field, *lowest_terms(s, chain_sum(p + p[:1], q + q[:1])[:-1]))
+
+
+def _old_tmax(e, g):
+    p, q, s = over_lcm(e.arc, e.scale, g.arc, g.scale)
+    return _old_arc(_old_convex_hull(p + q), s)
+
+
+@st.composite
+def point_sets(draw):
+    """1 to 20 integer points: a few free ones, then, each when drawn, a
+    collinear run, a vertical column at the least or the greatest x, and
+    repeats of points already drawn."""
+    pts = draw(st.lists(st.tuples(small, small), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        (x, y), (dx, dy) = draw(st.sampled_from(pts)), draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+        pts += [(x + k * dx, y + k * dy) for k in range(1, draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        x = draw(st.sampled_from([min(pts)[0], max(pts)[0]]))
+        pts += [(x, y) for y in draw(st.lists(small, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        pts += draw(st.lists(st.sampled_from(pts), min_size=1, max_size=4))
+    return draw(st.permutations(pts))
+
+
+def _form(kernel, *args):
+    # the stored form of kernel(*args), or NotProper when it refuses
+    try:
+        out = kernel(*args)
+    except NotProper:
+        return NotProper
+    return out.scale, (out.arc if isinstance(out, Envelope) else out.hull)
+
+
+@pytest.mark.parametrize("d", HEEGNER_DS)
+@given(st.data())
+def test_chain_kernels_match_the_whole_hull_kernels(d, data):
+    # every stored form, or the NotProper refusal, against the kernels that
+    # built whole hulls.  For d = 3 the orbit doubles the grid.  phi needs
+    # d = 1, so it also runs on the Gaussian orbit hulls of the same points.
+    f, gauss = field(d), field(1)
+    grids = [(data.draw(point_sets()), data.draw(st.integers(1, 4))) for _ in range(2)]
+    fixed = [SymPolygon.empty(f), SymPolygon.zero(f)]
+    duals = [SymPolygon.empty(gauss), SymPolygon.zero(gauss)]
+    envs = [Envelope.bottom(), Envelope.zero()]
+    for grid, scale in grids:
+        for h, kept in ((f, fixed), (gauss, duals)):
+            out = _form(SymPolygon.from_grid, h, grid, scale)
+            assert out == _form(_old_from_grid, h, grid, scale)
+            if out is not NotProper:
+                kept.append(SymPolygon.from_grid(h, grid, scale))
+        assert _form(Envelope.from_grid, grid, scale) == _form(_old_arc, _old_convex_hull(grid), scale)
+        envs.append(Envelope.from_grid(grid, scale))
+    a = data.draw(st.one_of(st.sampled_from(fixed), operands(f)))
+    b = data.draw(st.one_of(st.sampled_from(fixed), operands(f)))
+    # ZERO and EMPTY with each other and themselves every time
+    pairs = [(a, b), (b, a), (a, a)] + [(x, y) for x in fixed[:2] for y in fixed[:2]]
+    for x, y in pairs:
+        assert _form(hull_union, x, y) == _form(_old_hull_union, x, y)
+        assert _form(minkowski_sum, x, y) == _form(_old_minkowski_sum, x, y)
+        if d == 1:
+            duals += [hull_union(x, y), minkowski_sum(x, y)]
+    for p in duals:
+        assert _form(phi, p) == _form(_old_arc, p.hull, p.scale)
+    for x in envs:
+        for y in envs:
+            assert _form(tmax, x, y) == _form(_old_tmax, x, y)
+
+
 def _old_covers(hull, s: int, pts, t: int) -> bool:
     # every point (x/t, y/t) lies in the CCW integer hull over denominator s:
     # cross(b - a, p - a) >= 0 for each edge a -> b, multiplied through by s*t
@@ -702,32 +844,42 @@ def test_parallel_edges_join(d):
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
 def test_linear_kernels_build_no_hull(d, monkeypatch):
-    # counts repeat exactly where wall time does not: minkowski_sum, tplus and
-    # scale_act on a chain of 100 or more orbit vertices make no convex_hull call
+    # counts repeat exactly where wall time does not: minkowski_sum, tplus,
+    # scale_act and phi on a chain of 100 or more orbit vertices make no
+    # monotone_chain call, and hull_union, tmax and Envelope.from_grid one each
     f, rng = field(d), random.Random(d)
     a, b = _round_polygon(f), random_polygon(rng, f, degenerate_rate=0)
     assert len(a.hull) >= 100
     mu = QuadRat.make(QuadInt(f, 3, -2), 5)
     arc = Envelope.from_grid([(-(k * k), -((100 - k) ** 2)) for k in range(101)], 1)
     assert len(arc.arc) == 101
+    gauss = _round_polygon(field(1))
     calls = []
+    chain = polygeom.monotone_chain
 
     def counted(points):
         calls.append(len(points))
-        return convex_hull(points)
+        return chain(points)
 
-    monkeypatch.setattr(polygeom, "convex_hull", counted)
-    monkeypatch.setattr(envelope, "convex_hull", counted)
+    monkeypatch.setattr(polygeom, "monotone_chain", counted)
+    monkeypatch.setattr(envelope, "monotone_chain", counted)
     _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
     _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
     _same_stored_form(scale_act(QuadRat.from_int(f, 0), a), SymPolygon.zero(f))
     out = tplus(arc, arc)
+    e = phi(gauss)
     assert calls == []
     assert (out.scale, out.arc) == (1, tuple((2 * x, 2 * y) for x, y in arc.arc))
-    # the counter sees the kernels that still build a hull
+    old = _old_arc(gauss.hull, gauss.scale)
+    assert (e.scale, e.arc) == (old.scale, old.arc)
+    # the kernels that build a chain build one, and hull_union builds it on
+    # the two lower chains only
     hull_union(a, b)
+    assert len(calls) == 1 and calls[0] <= len(a.hull) // 2 + len(b.hull) // 2 + 2
     tmax(arc, arc)
     assert len(calls) == 2
+    Envelope.from_grid(list(arc.arc), 1)
+    assert len(calls) == 3
 
 
 # The selftest generator as it was before it built from integer affixes: each
@@ -948,7 +1100,7 @@ def test_sector_cover_matches_the_union_of_scaled_bases(d, coords):
 def test_membership_builds_no_polygon_per_candidate(monkeypatch):
     # counts repeat exactly where wall time does not.  The search maps D_K's
     # hull by each candidate m, so one call makes one scale_act (the target
-    # over g), one convex_hull (the sector cover) and their two lowest_terms,
+    # over g), one monotone_chain (the sector cover) and their two lowest_terms,
     # however many candidates it tests.  It reads the candidates off lattice
     # rows, with no norm enumeration and no half-plane test per candidate.
     p = _family(7, 4)
@@ -963,12 +1115,12 @@ def test_membership_builds_no_polygon_per_candidate(monkeypatch):
         # raising=False: a name polygeom does not bind is bound to the counter
         monkeypatch.setattr(polygeom, name, counted, raising=False)
 
-    for name in ("scale_act", "lowest_terms", "convex_hull", "covers"):
+    for name in ("scale_act", "lowest_terms", "monotone_chain", "covers"):
         count(name, getattr(polygeom, name))
     count("enumerate_norm_le", quadfield.enumerate_norm_le)
     ok, dec = membership_in_generated(p)
     assert ok and len(dec.summand_sets) > 4
-    assert calls == {"scale_act": 1, "lowest_terms": 2, "convex_hull": 1}
+    assert calls == {"scale_act": 1, "lowest_terms": 2, "monotone_chain": 1}
 
 
 # The candidate filter as it was before the lattice rows: every element of
