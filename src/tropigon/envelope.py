@@ -18,16 +18,16 @@ rational view of the arc: the CCW hull vertices, strict turns only, from the
 point maximizing (a, b) lexicographically to the one maximizing (b, a), so
 slopes b - a increase.  `from_grid` builds it by one
 `polygeom.monotone_chain` pass over the points sorted in reverse, the upper
-hull from the greatest point, cut at its first highest point; `phi` cuts a
-stored hull's upper chain.  Over a common denominator, `tmax` is `from_grid`
-on the union of two arcs (descending runs, which the sort merges), as
-`hull_union` is for polygons, and `tplus` is their Minkowski sum by
-`polygeom.chain_sum`, as `minkowski_sum` is: an arc starts at its
-lexicographically greatest point and every edge points strictly between the
-directions (0, 1) and (-1, 0), so the merged arc is the arc of the sum, and
-`leq` is the half-plane test `polygeom.covers` on g's arc closed by its two
-end directions.  All are exact, and BOTTOM and zero need no case of their
-own.
+hull from the greatest point, cut at its first highest point; `phi` makes
+the same cut on a polygon's stored lower chain negated, its upper chain.
+Over a common denominator, `tmax` is `from_grid` on the union of two arcs
+(descending runs, which the sort merges), as `hull_union` is for polygons,
+and `tplus` is their Minkowski sum by `polygeom.chain_sum`, as
+`minkowski_sum` is: an arc starts at its lexicographically greatest point
+and every edge points strictly between the directions (0, 1) and (-1, 0),
+so the merged arc is the arc of the sum, and `leq` is the half-plane test
+`polygeom.covers` on g's arc closed by its two end directions.  All are
+exact, and BOTTOM and zero need no case of their own.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -138,8 +138,8 @@ def leq(f: Envelope, g: Envelope) -> bool:
 def phi(p: SymPolygon) -> Envelope:
     if p.field.d != 1:
         raise WrongField("the functional dual is built for d=1")
-    # a stored hull's upper chain is its second half closed by its first vertex
-    return _cut(p.hull[len(p.hull) // 2 :] + p.hull[:1], p.scale)
+    # the stored lower chain negated is the upper chain, from the greatest vertex
+    return _cut([(-x, -y) for x, y in p.lower], p.scale)
 
 
 def phi_inv(f: Envelope) -> SymPolygon:

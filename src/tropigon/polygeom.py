@@ -1,26 +1,28 @@
 """Idempotent semiring of unit-symmetric convex polygons.
 
-A value is stored as its CCW integer orbit hull over a denominator `scale`,
-in lowest terms: divided by gcd(scale, *coordinates), so that equal polygons
-compare and hash equal.  EMPTY is the empty hull and ZERO the origin alone,
-both over scale 1; any other hull is a proper polygon.  `Envelope` stores its
-values the same way, and the point helpers below (`to_grid`, `over_lcm`,
+A value's CCW integer orbit hull is symmetric under -1, so its upper chain
+is its lower chain negated, and a value is stored as its lower chain
+(`lower`): the hull's vertices from its lexicographically least one to that
+vertex's negation, over a denominator `scale`, in lowest terms: divided by
+gcd(scale, *coordinates), so that equal polygons compare and hash equal.
+EMPTY is the empty chain and ZERO the origin alone, both over scale 1; any
+other chain is a proper polygon.  `hull`, the chain followed by its negated
+inner points, is a cached view.  `Envelope` stores its values in the same
+encoding, and the point helpers below (`to_grid`, `over_lcm`,
 `lowest_terms`) are shared by both.  Every kernel works on integer points
 over a common denominator, so everything is exact, and the empty set and the
-origin need no case of their own.  Stored hulls start at their
-lexicographically least vertex and are symmetric under -1, so a kernel
-builds only the lower chain (`_lower`) and mirrors it (`_mirror`).
-`from_grid` and `hull_union`, on the two lower chains, make one
-`monotone_chain` pass, the only hull routine; `minkowski_sum` merges the
-two lower chains' edges by angle (`chain_sum`, linear in the vertex count);
-`scale_act` maps the vertices, because multiplying by a nonzero scalar keeps
-them the vertices of the image.  The membership search's sector cover is
+origin need no case of their own.  `from_grid` and `hull_union`, on the two
+lower chains, make one `monotone_chain` pass, the only hull routine;
+`minkowski_sum` merges the two lower chains' edges by angle (`chain_sum`,
+linear in the vertex count); `scale_act` maps the hull's vertices, because
+multiplying by a nonzero scalar keeps them the vertices of the image, and
+keeps the half from the least one.  The membership search's sector cover is
 one `from_grid` call.  Its candidates m*D_K are the lattice points (a, b) of
 one polygon, an interval of a per row b found by floor division
-(`_candidates`), each D_K's hull mapped by m with no polygon built for it,
-and each polygon the search reaches is its support vector packed into one
-int.  `covers` is the one half-plane test: `contains_polygon`, on a lower
-chain, and `envelope.leq` call it.
+(`_candidates`), each D_K's lower chain mapped by m with no polygon built
+for it, and each polygon the search reaches is its support vector packed
+into one int.  `covers` is the one half-plane test: `contains_polygon`, on
+two lower chains, and `envelope.leq` call it.
 
 The canonical sector vertices (one per unit orbit, argument in
 [0, 2*pi/sigma), sorted by increasing argument) are one cyclic run of the
@@ -91,16 +93,6 @@ def monotone_chain(pts):
     return out
 
 
-def _lower(hull):
-    # a symmetric CCW hull's lower chain, from its least vertex to its greatest
-    return hull[: len(hull) // 2 + 1]
-
-
-def _mirror(lower):
-    # the symmetric CCW hull of a lower chain: its upper chain is that negated
-    return lower + [(-x, -y) for x, y in lower[1:-1]]
-
-
 def _orbit_expand(f: Field, pts, scale):
     # closes an integer point set under the unit action; d = 3 doubles the grid
     if f.sigma == 4:
@@ -112,7 +104,7 @@ def _orbit_expand(f: Field, pts, scale):
 
 
 def _edges(chain):
-    # the edge vectors chain[i + 1] - chain[i]; a closed hull is walked as hull + hull[:1]
+    # the edge vectors chain[i + 1] - chain[i]
     return [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(chain, chain[1:])]
 
 
@@ -155,11 +147,11 @@ def _mul_affix(f: Field, pts, u: int, v: int):
     return [(x * u - f.d * y * v, x * v + y * u) for x, y in pts]
 
 
-def _half_normals(hull):
-    # the primitive outward normals of the lower chain of a centrally
-    # symmetric CCW hull: edge i + len(hull)/2 is edge i negated
+def _half_normals(chain):
+    # the primitive outward normals of a CCW chain from a vertex v of a
+    # centrally symmetric hull to -v: the hull's other edges are these negated
     out = []
-    for ex, ey in _edges(_lower(hull)):
+    for ex, ey in _edges(chain):
         g = math.gcd(ex, ey)
         out.append((ey // g, -ex // g))
     return out
@@ -186,11 +178,16 @@ def covers(walk, s: int, pts, t: int) -> bool:
 class SymPolygon:
     field: Field
     scale: int
-    hull: tuple[tuple[int, int], ...]
+    lower: tuple[tuple[int, int], ...]
 
     @property
     def tag(self) -> str:
-        return EMPTY if not self.hull else ZERO if len(self.hull) == 1 else PROPER
+        return EMPTY if not self.lower else ZERO if len(self.lower) == 1 else PROPER
+
+    @cached_property
+    def hull(self) -> tuple[tuple[int, int], ...]:
+        """The whole CCW hull: `lower`, then its inner points negated."""
+        return self.lower + tuple((-x, -y) for x, y in self.lower[1:-1])
 
     @staticmethod
     def empty(f: Field) -> SymPolygon:
@@ -211,12 +208,13 @@ class SymPolygon:
 
     @staticmethod
     def _from_orbit(f: Field, pts, scale: int) -> SymPolygon:
-        # pts hold a lower chain of a set closed under -1, so one hull point
-        # is the origin and two a segment through it; the set drops repeats
-        hull = _mirror(monotone_chain(sorted(set(pts))))
-        if len(hull) == 2:
+        # pts hold the lower chain of a set closed under -1, so a one-point
+        # chain is the origin and a two-point one a segment through it; the
+        # set drops repeats
+        lower = monotone_chain(sorted(set(pts)))
+        if len(lower) == 2:
             raise NotProper("orbit hull has empty interior")
-        return SymPolygon(f, *lowest_terms(scale, hull))
+        return SymPolygon(f, *lowest_terms(scale, lower))
 
     def _sector_run(self) -> list[tuple[tuple[int, int], QuadInt]]:
         # The hull runs CCW around the origin and the sector is a cone of angle
@@ -249,9 +247,13 @@ class SymPolygon:
     def contains_polygon(self, other: SymPolygon) -> bool:
         if self.tag != PROPER:
             return other.tag == EMPTY or self.tag == other.tag
-        # both hulls are symmetric under -1: a point of `other` outside edge i
-        # + len/2 has its negative, also a point of `other`, outside edge i
-        return covers(_lower(self.hull), self.scale, other.hull, other.scale)
+        # both hulls are symmetric under -1: a point of `other` outside an
+        # upper edge has its negative, also a point of `other`, outside the
+        # lower edge it mirrors.  A lower edge's outward normal has angle in
+        # (-pi, 0], and in every such direction `other` attains its maximum
+        # at a vertex of its lower chain (the chain runs from the least x to
+        # the greatest), so that chain is the only point set to test.
+        return covers(self.lower, self.scale, other.lower, other.scale)
 
     def __repr__(self):
         if self.tag != PROPER:
@@ -268,29 +270,31 @@ def dk(f: Field) -> SymPolygon:
 def hull_union(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     same_field(a, b)
     # the union's lower chain is that of the two operands' lower chains
-    p, q, s = over_lcm(_lower(a.hull), a.scale, _lower(b.hull), b.scale)
+    p, q, s = over_lcm(a.lower, a.scale, b.lower, b.scale)
     return SymPolygon._from_orbit(a.field, p + q, s)
 
 
 def minkowski_sum(a: SymPolygon, b: SymPolygon) -> SymPolygon:
     same_field(a, b)
-    p, q, s = over_lcm(_lower(a.hull), a.scale, _lower(b.hull), b.scale)
-    return SymPolygon(a.field, *lowest_terms(s, _mirror(chain_sum(p, q))))
+    p, q, s = over_lcm(a.lower, a.scale, b.lower, b.scale)
+    return SymPolygon(a.field, *lowest_terms(s, chain_sum(p, q)))
 
 
 def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
     same_field(mu, a)
     # mu is the plane point (u, v) over case*den.  For mu != 0, multiplying by it
     # is linear with determinant u^2 + d*v^2 > 0 and commutes with the units, so
-    # the image of the CCW hull is the new hull, with strict turns; it only has to
-    # start at its least vertex again.  mu = 0 sends every vertex to the origin.
+    # the image of the CCW hull is the new hull, with strict turns; its lower
+    # chain is the half from its least vertex.  mu = 0 sends every vertex to
+    # the origin.
     f = a.field
     u, v = mu.num.affix()
     pts = _mul_affix(f, a.hull, u, v)
     if not (u or v):
         pts = pts[:1]
     i = min(range(len(pts)), key=pts.__getitem__, default=0)
-    return SymPolygon(f, *lowest_terms(a.scale * f.case * mu.den, pts[i:] + pts[:i]))
+    lower = (pts[i:] + pts[:i])[: len(pts) // 2 + 1]
+    return SymPolygon(f, *lowest_terms(a.scale * f.case * mu.den, lower))
 
 
 @dataclass(frozen=True)
@@ -316,35 +320,36 @@ def _sector_cover(f: Field, sector_ints) -> SymPolygon:
 
 def _candidates(scaled: SymPolygon, walls, bound: int) -> list[tuple[QuadInt, list[tuple[int, int]]]]:
     """The m in the sector (b > 0, or b = 0 < a) with m*D_K inside `scaled`,
-    b ascending, then a, each with D_K's hull mapped by m over
+    b ascending, then a, each with D_K's lower chain mapped by m over
     dk(f).scale*case, unrotated and unreduced.
 
-    For d not in {1, 3}: `walls` are `_half_normals(scaled.hull)` and `bound`
-    is at least the norm of each vertex of `scaled`.  Both polygons are
-    symmetric under -1, so m*D_K lies in `scaled` exactly when |n.(m*q)| <= h
-    for each wall n and each q of the first half of D_K's hull, where h is
-    n's value on `scaled` over D_K's scale, rounded down.  n.(m*q) =
-    alpha*a + beta*b, so on each row b the admissible a are one interval.
-    The norm is largest at a vertex, so every such m has norm at most
-    `bound`, and rows past that bound hold none.  m != 0 acts linearly with
-    positive determinant and commutes with the units, so the mapped hull is
-    CCW with strict turns.
+    For d not in {1, 3}: `walls` are `_half_normals(scaled.lower)` and
+    `bound` is at least the norm of each vertex of `scaled`.  Both polygons
+    are symmetric under -1, so m*D_K lies in `scaled` exactly when
+    |n.(m*q)| <= h for each wall n and each q of D_K's lower chain but its
+    end, the negation of its start, where h is n's value on `scaled` over
+    D_K's scale, rounded down.  A support function is maximised at an
+    edge's outward normal on that edge, so wall i's value is n_i.lower[i].
+    n.(m*q) = alpha*a + beta*b, so on each row b the admissible a are one
+    interval.  The norm is largest at a vertex, so every such m has norm at
+    most `bound`, and rows past that bound hold none.  m != 0 acts linearly
+    with positive determinant and commutes with the units, so the mapped
+    chain is CCW with strict turns, from a vertex of m*D_K to its negation.
     """
     f = scaled.field
     base = dk(f)
     bscale = base.scale * f.case
     tr, d, c = f.trace_omega, f.d, f.case
-    half = scaled.hull[: len(scaled.hull) // 2]
     ineqs = []
-    for nx, ny in walls:
-        h = max(abs(nx * x + ny * y) for x, y in half) * bscale // scaled.scale
-        for qx, qy in base.hull[: len(base.hull) // 2]:
+    for (nx, ny), (x, y) in zip(walls, scaled.lower):
+        h = (nx * x + ny * y) * bscale // scaled.scale
+        for qx, qy in base.lower[:-1]:
             # m's affix is (c*a + tr*b, b) over c
             al, be = c * (nx * qx + ny * qy), nx * (tr * qx - d * qy) + ny * (qx + tr * qy)
             ineqs.append((al, be, h) if al >= 0 else (-al, -be, h))
     out = []
     for b in range(math.isqrt(4 * bound // -f.discriminant) + 1):
-        # D_K's first half spans the plane, so some alpha > 0 bounds both ends
+        # D_K's lower chain spans the plane, so some alpha > 0 bounds both ends
         lo, hi = (1 if b == 0 else -math.inf), math.inf
         for al, be, h in ineqs:
             if al:
@@ -354,7 +359,7 @@ def _candidates(scaled: SymPolygon, walls, bound: int) -> list[tuple[QuadInt, li
         else:
             for a in range(lo, hi + 1):
                 m = QuadInt(f, a, b)
-                out.append((m, _mul_affix(f, base.hull, *m.affix())))
+                out.append((m, _mul_affix(f, base.lower, *m.affix())))
     return out
 
 
@@ -408,7 +413,7 @@ def membership_in_generated(
     bound = max(s.norm() for s in sector_ints)
     if bound > MAX_MEMBERSHIP_NORM:
         raise OutOfBudget(f"membership search norm bound {bound} is over {MAX_MEMBERSHIP_NORM}")
-    walls = _half_normals(scaled.hull)
+    walls = _half_normals(scaled.lower)
     cand = _candidates(scaled, walls, bound)
 
     # Each node is a polygon's integer support vector over a direction set N:
@@ -430,9 +435,10 @@ def membership_in_generated(
     #   vertex of `scaled` lies in one of them, as the extreme points of a
     #   hull lie in the union;
     # - every polygon here is symmetric under -1, so h(n) = h(-n) is the
-    #   max of |n.p| over the first half of its hull, N keeps each direction
-    #   only up to sign (`_upper`), and the corners of the first half of
-    #   `scaled`'s vertices are, up to sign, those of all of them;
+    #   max of |n.p| over a chain from a vertex to its negation, N keeps
+    #   each direction only up to sign (`_upper`), and the corners of the
+    #   lower chain of `scaled` but its end are, up to sign, those of all of
+    #   its vertices;
     # - none of this depends on the order of N, or on a common scale larger
     #   than the lcm of the reduced ones, which multiplies every vector by
     #   one positive constant.
@@ -460,14 +466,14 @@ def membership_in_generated(
     dirs = list(dict.fromkeys(map(_upper, walls + others)))
     big = math.lcm(scaled.scale, bscale)
 
-    def support(hull, scale: int) -> list[int]:
+    def support(chain, scale: int) -> list[int]:
         k = big // scale
         out = [0] * len(dirs)
-        for x, y in hull[: len(hull) // 2]:
+        for x, y in chain:
             out = list(map(max, out, [abs(nx * x + ny * y) for nx, ny in dirs]))
         return [v * k for v in out]
 
-    top = support(scaled.hull, scaled.scale)
+    top = support(scaled.lower, scaled.scale)
     w = (2 * max(top)).bit_length() + 1
 
     def pack(vals) -> int:

@@ -117,3 +117,14 @@ def test_no_branch_on_d_in_a_tuple():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_subscript_of_a_hull_view():
+    # a polygon stores its lower chain, so a reader of half a polygon reads
+    # `.lower`; `.hull` is the whole hull, read only whole
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "hull":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,10 +1,11 @@
 """Polygon semiring laws, generator decompositions, and the membership dichotomy."""
 
+import dataclasses
 import math
 import random
 from collections import Counter, deque
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -585,6 +586,14 @@ def test_sector_matches_the_sorted_oracle(p):
 # with their own hull reduction and stay here as differential oracles.
 
 
+def _stored(f, scale, hull):
+    # the polygon of a whole symmetric CCW hull, which stores its first half
+    # plus one; its hull view gives the whole hull back
+    p = SymPolygon(f, scale, tuple(hull[: len(hull) // 2 + 1]))
+    assert p.hull == tuple(hull)
+    return p
+
+
 def _branchy_from_orbit(f, orbit, scale):
     hull = _old_convex_hull(orbit)
     if not hull or all(p == (0, 0) for p in hull):
@@ -592,7 +601,7 @@ def _branchy_from_orbit(f, orbit, scale):
     if len(hull) < 3:
         raise NotProper("orbit hull has empty interior")
     g = math.gcd(scale, *(c for p in hull for c in p))
-    return SymPolygon(f, scale // g, tuple((x // g, y // g) for x, y in hull))
+    return _stored(f, scale // g, tuple((x // g, y // g) for x, y in hull))
 
 
 def _branchy_hull_union(a, b):
@@ -697,7 +706,7 @@ def _old_from_grid(f, grid, scale):
     hull = _old_convex_hull(orbit)
     if len(hull) == 2:
         raise NotProper("orbit hull has empty interior")
-    return SymPolygon(f, *lowest_terms(scale, hull))
+    return _stored(f, *lowest_terms(scale, hull))
 
 
 def _old_hull_union(a, b):
@@ -705,12 +714,12 @@ def _old_hull_union(a, b):
     hull = _old_convex_hull(p + q)
     if len(hull) == 2:
         raise NotProper("orbit hull has empty interior")
-    return SymPolygon(a.field, *lowest_terms(s, hull))
+    return _stored(a.field, *lowest_terms(s, hull))
 
 
 def _old_minkowski_sum(a, b):
     p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
-    return SymPolygon(a.field, *lowest_terms(s, chain_sum(p + p[:1], q + q[:1])[:-1]))
+    return _stored(a.field, *lowest_terms(s, chain_sum(p + p[:1], q + q[:1])[:-1]))
 
 
 def _old_tmax(e, g):
@@ -736,12 +745,14 @@ def point_sets(draw):
 
 
 def _form(kernel, *args):
-    # the stored form of kernel(*args), or NotProper when it refuses
+    # the stored form of kernel(*args), or NotProper when it refuses; for a
+    # polygon also its hull view, which `_stored` checked against the oracle's
+    # whole hull
     try:
         out = kernel(*args)
     except NotProper:
         return NotProper
-    return out.scale, (out.arc if isinstance(out, Envelope) else out.hull)
+    return (out.scale, out.arc) if isinstance(out, Envelope) else (out.scale, out.lower, out.hull)
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
@@ -846,14 +857,25 @@ def test_parallel_edges_join(d):
 def test_linear_kernels_build_no_hull(d, monkeypatch):
     # counts repeat exactly where wall time does not: minkowski_sum, tplus,
     # scale_act and phi on a chain of 100 or more orbit vertices make no
-    # monotone_chain call, and hull_union, tmax and Envelope.from_grid one each
+    # monotone_chain call, and hull_union, tmax and Envelope.from_grid one
+    # each.  from_grid, hull_union, minkowski_sum, contains_polygon and phi
+    # build no hull view; scale_act builds its operand's, once.
+    views = []
+    view = SymPolygon.__dict__["hull"].func
+
+    def counted_view(p):
+        views.append(p)
+        return view(p)
+
+    counted_hull = cached_property(counted_view)
+    counted_hull.__set_name__(SymPolygon, "hull")
+    monkeypatch.setattr(SymPolygon, "hull", counted_hull)
     f, rng = field(d), random.Random(d)
     a, b = _round_polygon(f), random_polygon(rng, f, degenerate_rate=0)
-    assert len(a.hull) >= 100
+    gauss = _round_polygon(field(1))
     mu = QuadRat.make(QuadInt(f, 3, -2), 5)
     arc = Envelope.from_grid([(-(k * k), -((100 - k) ** 2)) for k in range(101)], 1)
     assert len(arc.arc) == 101
-    gauss = _round_polygon(field(1))
     calls = []
     chain = polygeom.monotone_chain
 
@@ -863,23 +885,34 @@ def test_linear_kernels_build_no_hull(d, monkeypatch):
 
     monkeypatch.setattr(polygeom, "monotone_chain", counted)
     monkeypatch.setattr(envelope, "monotone_chain", counted)
-    _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
-    _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
-    _same_stored_form(scale_act(QuadRat.from_int(f, 0), a), SymPolygon.zero(f))
-    out = tplus(arc, arc)
-    e = phi(gauss)
-    assert calls == []
-    assert (out.scale, out.arc) == (1, tuple((2 * x, 2 * y) for x, y in arc.arc))
-    old = _old_arc(gauss.hull, gauss.scale)
-    assert (e.scale, e.arc) == (old.scale, old.arc)
+    summed, out, e = minkowski_sum(a, b), tplus(arc, arc), phi(gauss)
+    # a + b contains b, since 0 lies in a
+    assert summed.contains_polygon(b) and not b.contains_polygon(summed)
+    assert calls == [] and views == []
+    scaled = scale_act(mu, a)
+    assert len(views) == 1 and views[0] is a
+    zeroed = scale_act(QuadRat.from_int(f, 0), a)
+    assert calls == [] and len(views) == 1
     # the kernels that build a chain build one, and hull_union builds it on
     # the two lower chains only
     hull_union(a, b)
-    assert len(calls) == 1 and calls[0] <= len(a.hull) // 2 + len(b.hull) // 2 + 2
+    assert len(calls) == 1 and calls[0] <= len(a.lower) + len(b.lower) and len(views) == 1
     tmax(arc, arc)
     assert len(calls) == 2
     Envelope.from_grid(list(arc.arc), 1)
     assert len(calls) == 3
+    assert len(a.hull) >= 100
+    _same_stored_form(summed, _branchy_minkowski_sum(a, b))
+    _same_stored_form(scaled, _branchy_scale_act(mu, a))
+    _same_stored_form(zeroed, SymPolygon.zero(f))
+    assert (out.scale, out.arc) == (1, tuple((2 * x, 2 * y) for x, y in arc.arc))
+    old = _old_arc(gauss.hull, gauss.scale)
+    assert (e.scale, e.arc) == (old.scale, old.arc)
+    # the view is no field: a polygon whose view was read is its fresh copy
+    assert [x.name for x in dataclasses.fields(SymPolygon)] == ["field", "scale", "lower"]
+    fresh = SymPolygon(a.field, a.scale, a.lower)
+    assert "hull" in vars(a) and "hull" not in vars(fresh)
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
 
 
 # The selftest generator as it was before it built from integer affixes: each
@@ -1150,8 +1183,11 @@ def _same_candidates(p, gens=None):
         return None
     bound = max(q.num.norm() for q in scaled.sector_elements)
     assert bound <= MAX_MEMBERSHIP_NORM
-    walls = polygeom._half_normals(scaled.hull)
-    assert polygeom._candidates(scaled, walls, bound) == _old_candidates(scaled, bound)
+    walls = polygeom._half_normals(scaled.lower)
+    # each candidate comes with D_K's lower chain mapped: the first half plus
+    # one of its mapped hull
+    old = [(m, pts[: len(pts) // 2 + 1]) for m, pts in _old_candidates(scaled, bound)]
+    assert polygeom._candidates(scaled, walls, bound) == old
     return scaled, walls
 
 
