@@ -709,7 +709,7 @@ def _old_from_grid(f, grid, scale):
     return _stored(f, *lowest_terms(scale, hull))
 
 
-def _old_hull_union(a, b):
+def _old_hull_union_of_hulls(a, b):
     p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
     hull = _old_convex_hull(p + q)
     if len(hull) == 2:
@@ -779,7 +779,7 @@ def test_chain_kernels_match_the_whole_hull_kernels(d, data):
     # ZERO and EMPTY with each other and themselves every time
     pairs = [(a, b), (b, a), (a, a)] + [(x, y) for x in fixed[:2] for y in fixed[:2]]
     for x, y in pairs:
-        assert _form(hull_union, x, y) == _form(_old_hull_union, x, y)
+        assert _form(hull_union, x, y) == _form(_old_hull_union_of_hulls, x, y)
         assert _form(minkowski_sum, x, y) == _form(_old_minkowski_sum, x, y)
         if d == 1:
             duals += [hull_union(x, y), minkowski_sum(x, y)]
