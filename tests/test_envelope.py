@@ -1,6 +1,5 @@
 """Piecewise-affine envelopes on [0,1] and the d=1 duality."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from tropigon import (
     HEEGNER_DS,
     Envelope,
-    PlanePoint,
     QuadInt,
     QuadRat,
     SymPolygon,
@@ -28,7 +26,8 @@ from tropigon import (
 )
 from tropigon.envelope import NEG_INF
 from tropigon.errors import NotProper, OutOfDomain, WrongField
-from test_polygeom import _old_arc, _old_convex_hull
+
+import reference as ref
 
 rats = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 lines_strategy = st.lists(st.tuples(rats, rats), min_size=1, max_size=5)
@@ -75,8 +74,24 @@ def test_eval_at_values():
 # ------------------------------------------------------- canonical form quality
 
 
-def _raw_max(lines, t):
-    return max(a + (b - a) * t for a, b in lines)
+def _ref(e):
+    # an envelope's lines, or a polygon's hull, as the reference reads them
+    return ref.rational(e.arc, e.scale) if isinstance(e, Envelope) else ref.rational(e.hull, e.scale)
+
+
+def _same_as_reference(v, want):
+    # the same rational lines (a polygon's hull) in the same order, the same
+    # stored form in lowest terms, and equal, hash and all, to the value built
+    # from the reference's points: a polygon stores the lower chain, from its
+    # least vertex to that vertex's negation
+    assert _ref(v) == want
+    if isinstance(v, Envelope):
+        w = Envelope(*ref.integer_form(want))
+        assert (v.scale, v.arc, v.lines) == (w.scale, w.arc, want or None)
+    else:
+        w = SymPolygon(v.field, *ref.integer_form(want[: len(want) // 2 + 1]))
+        assert (v.scale, v.lower) == (w.scale, w.lower)
+    assert v == w and hash(v) == hash(w)
 
 
 @given(lines_strategy)
@@ -85,14 +100,14 @@ def test_canonicalization_preserves_the_function(lines):
     e = Envelope.of(lines)
     grid = [Fraction(k, 16) for k in range(17)]
     for t in grid:
-        assert eval_at(e, t) == _raw_max(lines, t)
+        assert eval_at(e, t) == ref.eval_at(lines, t)
 
 
-@given(envelopes(allow_bottom=False), st.fractions(0, 1, max_denominator=60))
+@given(envelopes(), st.fractions(0, 1, max_denominator=60))
 def test_eval_at_matches_the_fraction_formula(e, t):
-    # the formula eval_at used on the rational lines before it read the integer arc
     got = eval_at(e, t)
-    assert type(got) is Fraction and got == _raw_max(e.lines, t)
+    assert got == ref.eval_at(_ref(e), t)
+    assert e.is_bottom() or type(got) is Fraction
 
 
 @given(lines_strategy)
@@ -119,42 +134,7 @@ def test_semiring_laws(e, f, g):
     assert leq(e, tmax(e, f))
 
 
-# ------------------------------------------ kernels against their old forms
-
-
-def _canonical_oracle(lines):
-    """The former O(n^2) canonical form: a line survives when the interval on
-    which it beats every other line has positive length."""
-    uniq = sorted(set(lines))
-    kept = []
-    for a, b in uniq:
-        lo, hi = Fraction(0), Fraction(1)
-        dead = False
-        for c, g in uniq:
-            if (c, g) == (a, b):
-                continue
-            da = a - c
-            s = (b - g) - da
-            if s > 0:
-                lo = max(lo, Fraction(-da, s))
-            elif s < 0:
-                hi = min(hi, Fraction(-da, s))
-            elif da < 0:
-                dead = True
-                break
-        if not dead and lo < hi:
-            kept.append((a, b))
-    kept.sort(key=lambda ln: (ln[1] - ln[0], ln[0]))
-    return tuple(kept)
-
-
-def _leq_oracle(f, g):
-    """The former leq: f <= g iff the canonical form of max(f, g) is g's."""
-    if f.is_bottom():
-        return True
-    if g.is_bottom():
-        return False
-    return _canonical_oracle(f.lines + g.lines) == g.lines
+# ------------------------------------------ kernels against the reference
 
 
 def _through(t, v, slope):
@@ -190,7 +170,7 @@ def tie_heavy_lines(draw):
 @example([(Fraction(1), Fraction(0)), (Fraction(1), Fraction(3))])  # crossing at t = 0
 @example([(Fraction(0), Fraction(2)), (Fraction(3), Fraction(2))])  # crossing at t = 1
 def test_canonical_form_matches_the_quadratic_filter(lines):
-    assert Envelope.of(lines).lines == _canonical_oracle(lines)
+    _same_as_reference(Envelope.of(lines), ref.envelope(lines))
 
 
 @st.composite
@@ -229,15 +209,6 @@ def envelope_pairs(draw):
         slope = draw(st.sampled_from([s0, s1, (s0 + s1) / 2, s0 - 1, s1 + 1]))
         lines.append(_through(t, v + draw(nudge), slope))
     return Envelope.of(lines), g
-
-
-@given(envelope_pairs())
-@example((Envelope.bottom(), Envelope.bottom()))
-@example((Envelope.bottom(), Envelope.zero()))
-@example((Envelope.zero(), Envelope.bottom()))
-def test_leq_matches_the_max_definition(pair):
-    f, g = pair
-    assert leq(f, g) == _leq_oracle(f, g)
 
 
 # -------------------------------------------------------------------- duality
@@ -289,14 +260,10 @@ def test_phi_is_an_isomorphism(a, b):
 @given(gaussian_polygons())
 @settings(max_examples=150)
 def test_phi_is_the_support_function(p):
-    # phi(P)(t) must equal the support max over the polygon's own vertices in
-    # the direction that interpolates 1 -> i
+    # phi(P)(t) is the max over P's vertices of their pairing with (1 - t, t)
     e = phi(p)
-    if p.tag != "proper":
-        return
     for t in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-        want = max((1 - t) * pt.x + t * pt.y for pt in p.orbit_points())
-        assert eval_at(e, t) == want
+        assert eval_at(e, t) == ref.eval_at(_ref(p), t)
 
 
 @st.composite
@@ -306,42 +273,16 @@ def rational_gaussian_polygons(draw):
     return scale_act(QuadRat.make(f.one, draw(st.integers(1, 6))), draw(gaussian_polygons()))
 
 
-def _phi_oracle(p):
-    """The former phi: the canonical form of the orbit points as Fractions."""
-    if p.tag == "empty":
-        return None
-    if p.tag == "zero":
-        return ((Fraction(0), Fraction(0)),)
-    return _canonical_oracle([(v.x, v.y) for v in p.orbit_points()])
-
-
-def _phi_inv_oracle(e):
-    """The former phi_inv: the polygon spanned by the lines as plane points."""
-    f = field(1)
-    if e.is_bottom():
-        return SymPolygon.empty(f)
-    if e.lines == ((Fraction(0), Fraction(0)),):
-        return SymPolygon.zero(f)
-    return SymPolygon.from_points(f, [PlanePoint(a, b) for a, b in e.lines])
-
-
-def _tplus_oracle(f, g):
-    """The former tplus: the canonical form of all n*m sums as Fractions."""
-    if f.is_bottom() or g.is_bottom():
-        return None
-    return _canonical_oracle({(a + c, b + d) for a, b in f.lines for c, d in g.lines})
-
-
 @given(tie_heavy_envelopes(), tie_heavy_envelopes())
 def test_tplus_matches_the_fraction_sums(f, g):
-    assert tplus(f, g).lines == _tplus_oracle(f, g)
+    _same_as_reference(tplus(f, g), ref.tplus(_ref(f), _ref(g)))
 
 
 @given(rational_gaussian_polygons())
 def test_phi_matches_the_fraction_orbit_points(p):
     e = phi(p)
-    assert e.lines == _phi_oracle(p)
-    assert phi_inv(e) == _phi_inv_oracle(e)
+    _same_as_reference(e, ref.phi(_ref(p)))
+    _same_as_reference(phi_inv(e), ref.phi_inv(_ref(e)))
 
 
 # ------------------------------------------------------ one stored form
@@ -374,71 +315,34 @@ def test_phi_round_trip_keeps_the_stored_form(p):
         _same(Envelope.of(e.lines), e)
 
 
-# The kernels as they were before BOTTOM and the zero envelope shared the
-# polygon encoding: each degenerate operand had a branch of its own.  They
-# build their results with their own arc reduction and stay here as
-# differential oracles.
-
-
-def _branchy_arc(hull, scale):
-    i = hull.index(max(hull))
-    j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
-    arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
-    g = math.gcd(scale, *(c for p in arc for c in p))
-    return Envelope(scale // g, tuple((x // g, y // g) for x, y in arc))
-
-
-def _branchy_tmax(f, g):
-    if not f.arc:
-        return g
-    if not g.arc:
-        return f
-    s = math.lcm(f.scale, g.scale)
-    mf, mg = s // f.scale, s // g.scale
-    pts = [(a * mf, b * mf) for a, b in f.arc] + [(a * mg, b * mg) for a, b in g.arc]
-    return _branchy_arc(_old_convex_hull(pts), s)
-
-
-def _branchy_tplus(f, g):
-    if not f.arc or not g.arc:
-        return Envelope.bottom()
-    s = math.lcm(f.scale, g.scale)
-    mf, mg = s // f.scale, s // g.scale
-    pts = {(a * mf + c * mg, b * mf + d * mg) for a, b in f.arc for c, d in g.arc}
-    return _branchy_arc(_old_convex_hull(pts), s)
-
-
-def _branchy_phi(p):
-    if p.tag == "empty":
-        return Envelope.bottom()
-    if p.tag == "zero":
-        return Envelope.zero()
-    return _branchy_arc(p.hull, p.scale)
-
-
 degenerate_envelopes = st.sampled_from([Envelope.bottom(), Envelope.zero()])
 degenerate_polygons = st.sampled_from([SymPolygon.empty(field(1)), SymPolygon.zero(field(1))])
 
 
 @st.composite
 def envelope_chains(draw):
-    """Accumulated tplus sums of up to eight tie-heavy envelopes, summed by the oracle."""
-    acc = Envelope.of(draw(tie_heavy_lines()))
+    """Accumulated tplus sums of up to eight tie-heavy envelopes, summed by the reference."""
+    acc = ref.envelope(draw(tie_heavy_lines()))
     for lines in draw(st.lists(tie_heavy_lines(), min_size=1, max_size=8)):
-        acc = _branchy_tplus(acc, Envelope.of(lines))
-    return acc
+        acc = ref.tplus(acc, ref.envelope(lines))
+    return Envelope(*ref.integer_form(acc))
 
 
 operand_envelopes = st.one_of(degenerate_envelopes, tie_heavy_envelopes(), envelope_chains())
 
 
+# The tests below keep the names they had when each compared a kernel with
+# the kernel it replaced, since tests/data/mutations.json names them.
+
+
 @given(operand_envelopes, operand_envelopes, st.one_of(degenerate_polygons, rational_gaussian_polygons()))
 def test_kernels_match_the_branchy_oracles(f, g, p):
-    _same(tmax(f, g), _branchy_tmax(f, g))
-    _same(tplus(f, g), _branchy_tplus(f, g))
-    _same(tplus(f, f), _branchy_tplus(f, f))
-    _same(phi(p), _branchy_phi(p))
-    assert phi_inv(phi(p)) == p
+    F, G = _ref(f), _ref(g)
+    _same_as_reference(tmax(f, g), ref.tmax(F, G))
+    _same_as_reference(tplus(f, g), ref.tplus(F, G))
+    _same_as_reference(tplus(f, f), ref.tplus(F, F))
+    _same_as_reference(phi(p), ref.phi(_ref(p)))
+    _same_as_reference(phi_inv(phi(p)), _ref(p))
 
 
 def test_phi_round_trips_the_degenerate_values():
@@ -447,19 +351,6 @@ def test_phi_round_trips_the_degenerate_values():
         _same(phi(p), e)
         assert (phi_inv(e).scale, phi_inv(e).hull) == (p.scale, p.hull)
         assert phi_inv(e) == p and hash(phi_inv(e)) == hash(p)
-
-
-def _old_leq(f: Envelope, g: Envelope) -> bool:
-    """The probe-loop leq, kept as the oracle of the leq that walks g's arc."""
-    if not f.arc:
-        return True
-    if not g.arc:
-        return False
-    arc = g.arc
-    probes = [(1, 0, arc[0][0]), (0, 1, arc[-1][1])]
-    probes += [(b1 - b0, a0 - a1, a0 * b1 - a1 * b0) for (a0, b0), (a1, b1) in zip(arc, arc[1:])]
-    sf, sg = f.scale, g.scale
-    return all((a * u + b * w) * sg <= v * sf for a, b in f.arc for u, w, v in probes)
 
 
 def _unreduced(e, k):
@@ -476,7 +367,7 @@ def hull_arcs(draw):
         p = SymPolygon.from_grid(f, pts, draw(st.integers(1, 4)))
     except NotProper:
         p = dk(f)
-    return _old_arc(p.hull, p.scale)
+    return Envelope(*ref.integer_form(ref.envelope(_ref(p))))
 
 
 one_point_arcs = st.builds(lambda a, b: Envelope.of([(a, b)]), small, small)
@@ -490,4 +381,4 @@ def test_leq_matches_the_probe_loop(pair, f, g, j, k):
     cases = [pair, pair[::-1], (f, g), (g, f), (f, f)]
     cases += [(_unreduced(x, j), _unreduced(y, k)) for x, y in cases]
     for x, y in cases:
-        assert leq(x, y) == _old_leq(x, y)
+        assert leq(x, y) == ref.leq(_ref(x), _ref(y))

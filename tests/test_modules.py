@@ -1,9 +1,12 @@
 """Module boundaries inside the package."""
 
 import ast
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tropigon"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tropigon"
+TESTS = ROOT / "tests"
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -127,4 +130,45 @@ def test_no_subscript_of_a_hull_view():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) and node.value.attr == "hull":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_top_level_name_defined_twice():
+    # a second definition silently rebinds the first, so whatever called the
+    # first runs the second; bench/ is read, never edited
+    found = []
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")):
+        lines = {}
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            for name in names:
+                lines.setdefault(name, []).append(node.lineno)
+        found += [f"{path.relative_to(ROOT)}:{n}" for ns in lines.values() if len(ns) > 1 for n in ns]
+    assert found == []
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_the_reference_imports_only_the_standard_library():
+    # tests/reference.py is the oracle of the geometry kernels, so it shares no code with them
+    found = [m for m in _imported_modules(TESTS / "reference.py") if m.split(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_no_test_module_imports_another():
+    # each test module checks the package against its own oracles or tests/reference.py
+    tests = {p.stem for p in TESTS.glob("test_*.py")}
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        found += [f"{path.name}: {m}" for m in _imported_modules(path) if m.split(".")[0] in tests]
     assert found == []

@@ -34,19 +34,11 @@ from tropigon import (
 from tropigon import envelope, polygeom, quadfield, wire
 from tropigon.envelope import Envelope, phi, tmax, tplus
 from tropigon.errors import NotProper, WrongField, ZeroInput
-from tropigon.polygeom import (
-    GeneratorDecomposition,
-    MAX_MEMBERSHIP_NORM,
-    _mul_affix,
-    _orbit_expand,
-    chain_sum,
-    covers,
-    lowest_terms,
-    over_lcm,
-    to_grid,
-)
+from tropigon.polygeom import GeneratorDecomposition, MAX_MEMBERSHIP_NORM, _mul_affix, covers, to_grid
 from tropigon.quadfield import PlanePoint, enumerate_norm_le, gcd
 from tropigon.selftest import random_polygon
+
+import reference as ref
 
 fields = st.sampled_from([field(d) for d in HEEGNER_DS])
 small = st.integers(-4, 4)
@@ -81,47 +73,39 @@ def polygon_triples(draw):
     return draw(polygons(f)), draw(polygons(f)), draw(polygons(f))
 
 
-# ---------------------------------------------------------- independent oracle
+# ------------------------------------------------------------- the reference
+# tests/reference.py writes every geometry kernel from its definition, in
+# Fractions; a polygon is its hull's rational vertices, CCW from the least.
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _ref(p):
+    # a polygon's hull, or an envelope's lines, as the reference reads them
+    return ref.rational(p.arc, p.scale) if isinstance(p, Envelope) else ref.rational(p.hull, p.scale)
 
 
-def _hull_oracle(points):
-    """Jarvis gift-wrapping over exact rationals; independent of the library's
-    monotone-chain construction."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    start = min(pts)
-    hull = [start]
-    while True:
-        cur = hull[-1]
-        cand = pts[0] if pts[0] != cur else pts[1]
-        for p in pts:
-            if p == cur:
-                continue
-            c = _cross(cur, cand, p)
-            if c < 0 or (
-                c == 0
-                and (p[0] - cur[0]) ** 2 + (p[1] - cur[1]) ** 2
-                > (cand[0] - cur[0]) ** 2 + (cand[1] - cur[1]) ** 2
-            ):
-                cand = p
-        if cand == start:
-            return hull
-        hull.append(cand)
+def _from_ref(f, want):
+    # the polygon of the reference's hull, built directly: its lower chain runs
+    # from the least vertex to that vertex's negation, over the least common
+    # denominator
+    return SymPolygon(f, *ref.integer_form(want[: len(want) // 2 + 1]))
 
 
-@given(polygons(allow_degenerate=False))
-@settings(max_examples=150)
-def test_orbit_hull_matches_gift_wrapping(p):
-    got = {(pt.x, pt.y) for pt in p.orbit_points()}
-    want = set(_hull_oracle([(pt.x, pt.y) for pt in p.orbit_points()]))
-    # orbit_points lists exactly the hull vertices, so wrapping them again
-    # must be a no-op
-    assert got == want
+def _elt(mu):
+    return Fraction(mu.num.a, mu.den), Fraction(mu.num.b, mu.den)
+
+
+def _same_as_reference(p, want):
+    # the same rational vertices in the same order (a polygon's hull view
+    # too), the same stored form in lowest terms, and equal, hash and all, to
+    # the value built from the reference's points
+    assert _ref(p) == want
+    if isinstance(p, Envelope):
+        q = Envelope(*ref.integer_form(want))
+        assert (p.scale, p.arc, p.lines) == (q.scale, q.arc, want or None)
+    else:
+        q = _from_ref(p.field, want)
+        assert (p.scale, p.lower) == (q.scale, q.lower)
+    assert p == q and hash(p) == hash(q)
 
 
 def test_hull_union_of_nested_squares_collapses():
@@ -137,13 +121,9 @@ def test_hull_union_octagon_matches_oracle():
     f = field(1)
     a = scale_act(QuadRat.from_int(f, 2), dk(f))
     b = SymPolygon.from_points(f, [QuadInt(f, 2, 1).plane()])
-    got = hull_union(a, b)
-    pts = [(pt.x, pt.y) for pt in a.orbit_points()] + [
-        (pt.x, pt.y) for pt in b.orbit_points()
-    ]
-    want = _hull_oracle(pts)
-    assert {(pt.x, pt.y) for pt in got.orbit_points()} == set(want)
-    assert len(got.orbit_points()) == len(want) == 8
+    want = ref.hull_union(_ref(a), _ref(b))
+    _same_as_reference(hull_union(a, b), want)
+    assert len(want) == 8
 
 
 # ----------------------------------------------------------------- frozen facts
@@ -393,126 +373,6 @@ def test_stored_form_of_d3_hexagons():
     assert (z.scale, z.hull, z.sector, z.orbit_points()) == (1, ((0, 0),), (), [origin])
 
 
-# The whole-hull kernels as they were before each value built one monotone
-# chain: Andrew's two passes over the sorted set, and the search of a CCW
-# hull for the two ends of an envelope's arc.  They stay here verbatim, as
-# oracles of the chain kernels and as the hull reduction of the other
-# oracles in this file and in tests/test_envelope.py.
-
-
-def _old_convex_hull(points):
-    # Andrew monotone chain, CCW, strict turns only; may return < 3 points
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                ox, oy = out[-2]
-                ax, ay = out[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
-def _old_arc(hull, scale: int) -> Envelope:
-    """The envelope of the lines (x/scale, y/scale) at the vertices of a CCW hull.
-
-    Its lines are the vertices of the counter-clockwise hull arc from the
-    point maximizing (a, b) lexicographically to the one maximizing (b, a):
-    the arc's outward normals are the directions (1 - t, t), and its slopes
-    b - a increase along it.  The hull keeps strict turns only, so a line
-    that meets the envelope in a single point is dropped.  An empty hull is
-    BOTTOM.
-    """
-    if not hull:
-        return Envelope.bottom()
-    i = hull.index(max(hull))
-    j = hull.index(max(hull, key=lambda p: (p[1], p[0])))
-    arc = hull[i : j + 1] if i <= j else hull[i:] + hull[: j + 1]
-    return Envelope(*lowest_terms(scale, arc))
-
-
-# The kernels below are the Fraction implementations the stored hull
-# replaced; they stay here as differential oracles.
-
-
-def _old_grid(p):
-    scale = 1
-    for v in p.sector:
-        scale = math.lcm(scale, v.x.denominator, v.y.denominator)
-    sector = [(int(v.x * scale), int(v.y * scale)) for v in p.sector]
-    orbit, scale = _orbit_expand(p.field, sector, scale)
-    return scale, _old_convex_hull(orbit)
-
-
-def _old_contains(p, pt):
-    if p.tag == EMPTY:
-        return False
-    if p.tag == ZERO:
-        return (pt.x, pt.y) == (0, 0)
-    scale, hull = _old_grid(p)
-    px, py = pt.x * scale, pt.y * scale
-    n = len(hull)
-    for i in range(n):
-        ax, ay = hull[i]
-        bx, by = hull[(i + 1) % n]
-        if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < 0:
-            return False
-    return True
-
-
-def _old_contains_polygon(a, b):
-    if b.tag == EMPTY:
-        return True
-    if b.tag == ZERO:
-        return _old_contains(a, PlanePoint(Fraction(0), Fraction(0)))
-    scale, hull = _old_grid(b)
-    return all(_old_contains(a, PlanePoint(Fraction(x, scale), Fraction(y, scale))) for x, y in hull)
-
-
-def _old_hull_union(a, b):
-    if a.tag == EMPTY:
-        return b
-    if b.tag == EMPTY:
-        return a
-    if a.tag == ZERO:
-        return b
-    if b.tag == ZERO:
-        return a
-    return SymPolygon.from_points(a.field, list(a.sector) + list(b.sector))
-
-
-def _cmul(p, q, d):
-    # (x1 + y1*sqrt(d)i)(x2 + y2*sqrt(d)i) on rational plane points
-    return PlanePoint(p.x * q.x - d * p.y * q.y, p.x * q.y + p.y * q.x)
-
-
-def _old_scale_act(mu, a):
-    if a.tag == EMPTY:
-        return a
-    if mu.is_zero() or a.tag == ZERO:
-        return SymPolygon.zero(a.field)
-    mp = mu.plane()
-    return SymPolygon.from_points(a.field, [_cmul(p, mp, a.field.d) for p in a.sector])
-
-
-def _contains_point(a, pt):
-    # the point test of the removed SymPolygon.contains, on the kernel contains_polygon uses
-    if a.tag != PROPER:
-        return a.tag == ZERO and (pt.x, pt.y) == (0, 0)
-    return covers(a.hull + a.hull[:1], a.scale, *to_grid([(pt.x, pt.y)]))
-
-
 @st.composite
 def mixed_pairs(draw):
     f = draw(fields)
@@ -523,123 +383,22 @@ def mixed_pairs(draw):
 @given(mixed_pairs(), st.fractions(-4, 4, max_denominator=6), st.fractions(-4, 4, max_denominator=6))
 def test_contains_matches_the_fraction_kernel(ab, x, y):
     a, b = ab
-    assert a.contains_polygon(b) == _old_contains_polygon(a, b)
-    assert b.contains_polygon(a) == _old_contains_polygon(b, a)
-    for pt in [PlanePoint(x, y), *b.orbit_points()]:
-        assert _contains_point(a, pt) == _old_contains(a, pt)
-
-
-@given(mixed_pairs())
-def test_hull_union_matches_the_fraction_kernel(ab):
-    a, b = ab
-    _same_stored_form(hull_union(a, b), _old_hull_union(a, b))
-
-
-@given(st.data())
-def test_scale_act_matches_the_fraction_kernel(data):
-    f = data.draw(fields)
-    a = data.draw(st.one_of(polygons(f), rational_polygons(f)))
-    mu = data.draw(scalars(f))
-    _same_stored_form(scale_act(mu, a), _old_scale_act(mu, a))
-
-
-# The sector as it was read before the hull run: filter the hull by a grid
-# predicate, sort by argument, and map each plane point back into K.
-
-
-def _old_sector(p):
-    f, s = p.field, p.scale
-
-    def in_sector(x, y):
-        if f.sigma == 4:
-            return x > 0 and y >= 0
-        if f.sigma == 6:
-            return x > 0 and 0 <= y < x
-        return y > 0 or (y == 0 and x > 0)
-
-    def cmp(u, v):
-        # all arguments lie in a half-open half-plane, so one cross product orders them
-        c = u[0] * v[1] - u[1] * v[0]
-        return -1 if c > 0 else (1 if c < 0 else 0)
-
-    pts = sorted([q for q in p.hull if in_sector(*q)], key=cmp_to_key(cmp))
-    return [PlanePoint(Fraction(x, s), Fraction(y, s)) for x, y in pts]
-
-
-def _old_plane_to_quadrat(f, v):
-    # case 1 gives (a, b) = (x, y); case 2 gives b = 2y, a = x - y
-    ax, bx = (v.x, v.y) if f.case == 1 else (v.x - v.y, 2 * v.y)
-    den = math.lcm(ax.denominator, bx.denominator)
-    return QuadRat.make(QuadInt(f, int(ax * den), int(bx * den)), den)
+    A, B = _ref(a), _ref(b)
+    assert a.contains_polygon(b) == ref.contains(A, B)
+    assert b.contains_polygon(a) == ref.contains(B, A)
+    # one point at a time, by covers on the closed hull
+    for pt in [(x, y), *B]:
+        assert covers(a.hull + a.hull[:1], a.scale, *to_grid([pt])) == ref.covers(A + A[:1], [pt])
 
 
 @given(st.one_of(polygons(), rational_polygons()))
 def test_sector_matches_the_sorted_oracle(p):
-    want = _old_sector(p)
-    assert list(p.sector) == want
-    assert list(p.sector_elements) == [_old_plane_to_quadrat(p.field, v) for v in want]
+    d = p.field.d
+    assert [(v.x, v.y) for v in p.sector] == list(ref.sector(d, _ref(p)))
+    elements = [(q.num.a, q.num.b, q.den) for q in p.sector_elements]
+    assert [(Fraction(a, n), Fraction(b, n)) for a, b, n in elements] == list(ref.sector_elements(d, _ref(p)))
+    assert all(n > 0 and math.gcd(a, b, n) == 1 for a, b, n in elements)
     assert [q.plane() for q in p.sector_elements] == list(p.sector)
-
-
-# The kernels as they were before EMPTY and ZERO became hulls like any other:
-# each degenerate operand had a branch of its own.  They build their results
-# with their own hull reduction and stay here as differential oracles.
-
-
-def _stored(f, scale, hull):
-    # the polygon of a whole symmetric CCW hull, which stores its first half
-    # plus one; its hull view gives the whole hull back
-    p = SymPolygon(f, scale, tuple(hull[: len(hull) // 2 + 1]))
-    assert p.hull == tuple(hull)
-    return p
-
-
-def _branchy_from_orbit(f, orbit, scale):
-    hull = _old_convex_hull(orbit)
-    if not hull or all(p == (0, 0) for p in hull):
-        return SymPolygon.zero(f)
-    if len(hull) < 3:
-        raise NotProper("orbit hull has empty interior")
-    g = math.gcd(scale, *(c for p in hull for c in p))
-    return _stored(f, scale // g, tuple((x // g, y // g) for x, y in hull))
-
-
-def _branchy_hull_union(a, b):
-    if a.tag == EMPTY:
-        return b
-    if b.tag == EMPTY:
-        return a
-    s = math.lcm(a.scale, b.scale)
-    ma, mb = s // a.scale, s // b.scale
-    pts = [(x * ma, y * ma) for x, y in a.hull] + [(x * mb, y * mb) for x, y in b.hull]
-    return _branchy_from_orbit(a.field, pts, s)
-
-
-def _branchy_minkowski_sum(a, b):
-    if a.tag == EMPTY or b.tag == EMPTY:
-        return SymPolygon.empty(a.field)
-    if a.tag == ZERO:
-        return b
-    if b.tag == ZERO:
-        return a
-    s = math.lcm(a.scale, b.scale)
-    ma, mb = s // a.scale, s // b.scale
-    pts = {(x1 * ma + x2 * mb, y1 * ma + y2 * mb) for x1, y1 in a.hull for x2, y2 in b.hull}
-    return _branchy_from_orbit(a.field, pts, s)
-
-
-def _branchy_scale_act(mu, a):
-    if a.tag == EMPTY:
-        return a
-    if mu.is_zero() or a.tag == ZERO:
-        return SymPolygon.zero(a.field)
-    f, n = a.field, mu.num
-    if f.case == 1:
-        u, v, w = n.a, n.b, mu.den
-    else:
-        u, v, w = 2 * n.a + n.b, n.b, 2 * mu.den
-    pts = [(x * u - f.d * y * v, x * v + y * u) for x, y in a.hull]
-    return _branchy_from_orbit(f, pts, a.scale * w)
 
 
 def _round_polygon(f):
@@ -665,16 +424,17 @@ def _square(f, k):
 @st.composite
 def chains(draw, f):
     """Accumulated Minkowski sums, like the benchmark's minkowski_chain: up to
-    about 100 orbit vertices, summed by the oracle."""
-    acc = draw(st.one_of(polygons(f, allow_degenerate=False), rational_polygons(f)))
+    about 100 orbit vertices, summed by the reference."""
+    acc = _ref(draw(st.one_of(polygons(f, allow_degenerate=False), rational_polygons(f))))
     rng = random.Random(draw(st.integers(0, 2**32)))
     for _ in range(rng.randint(1, 30)):
-        if len(acc.hull) >= 100:
+        if len(acc) >= 100:
             break
         # a ring multiple turns the summand's edges, so the sum gains directions
-        mu = QuadRat(QuadInt(f, rng.randint(-3, 3), rng.randint(-3, 3)), 1)
-        acc = _branchy_minkowski_sum(acc, _branchy_scale_act(mu, random_polygon(rng, f, span=2, degenerate_rate=0)))
-    return acc
+        mu = rng.randint(-3, 3), rng.randint(-3, 3)
+        summand = _ref(random_polygon(rng, f, span=2, degenerate_rate=0))
+        acc = ref.minkowski_sum(acc, ref.scale_act(f.d, mu, summand))
+    return _from_ref(f, acc)
 
 
 def operands(f, chained=True):
@@ -685,46 +445,21 @@ def operands(f, chained=True):
     return st.one_of(*kinds, chains(f)) if chained else st.one_of(*kinds)
 
 
+# The tests below keep the names they had when each compared a kernel with
+# the kernel it replaced, since tests/data/mutations.json names them.
+
+
 @pytest.mark.parametrize("d", HEEGNER_DS)
 @given(st.data())
 def test_kernels_match_the_branchy_oracles(d, data):
     f = field(d)
     a, b = data.draw(operands(f)), data.draw(operands(f))
     mu = data.draw(st.one_of(st.just(QuadRat.from_int(f, 0)), scalars(f)))
-    _same_stored_form(hull_union(a, b), _branchy_hull_union(a, b))
-    _same_stored_form(minkowski_sum(a, b), _branchy_minkowski_sum(a, b))
-    _same_stored_form(scale_act(mu, a), _branchy_scale_act(mu, a))
+    A, B = _ref(a), _ref(b)
+    _same_as_reference(hull_union(a, b), ref.hull_union(A, B))
+    _same_as_reference(minkowski_sum(a, b), ref.minkowski_sum(A, B))
+    _same_as_reference(scale_act(mu, a), ref.scale_act(d, _elt(mu), A))
     assert a.tag == (EMPTY if not a.hull else ZERO if a.hull == ((0, 0),) else PROPER)
-
-
-# The chain kernels against the whole-hull kernels they replaced: the polygon
-# kernels as they were, and the envelope kernels as _old_arc of a hull.
-
-
-def _old_from_grid(f, grid, scale):
-    orbit, scale = _orbit_expand(f, grid, scale)
-    hull = _old_convex_hull(orbit)
-    if len(hull) == 2:
-        raise NotProper("orbit hull has empty interior")
-    return _stored(f, *lowest_terms(scale, hull))
-
-
-def _old_hull_union_of_hulls(a, b):
-    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
-    hull = _old_convex_hull(p + q)
-    if len(hull) == 2:
-        raise NotProper("orbit hull has empty interior")
-    return _stored(a.field, *lowest_terms(s, hull))
-
-
-def _old_minkowski_sum(a, b):
-    p, q, s = over_lcm(a.hull, a.scale, b.hull, b.scale)
-    return _stored(a.field, *lowest_terms(s, chain_sum(p + p[:1], q + q[:1])[:-1]))
-
-
-def _old_tmax(e, g):
-    p, q, s = over_lcm(e.arc, e.scale, g.arc, g.scale)
-    return _old_arc(_old_convex_hull(p + q), s)
 
 
 @st.composite
@@ -744,71 +479,52 @@ def point_sets(draw):
     return draw(st.permutations(pts))
 
 
-def _form(kernel, *args):
-    # the stored form of kernel(*args), or NotProper when it refuses; for a
-    # polygon also its hull view, which `_stored` checked against the oracle's
-    # whole hull
-    try:
-        out = kernel(*args)
-    except NotProper:
-        return NotProper
-    return (out.scale, out.arc) if isinstance(out, Envelope) else (out.scale, out.lower, out.hull)
-
-
 @pytest.mark.parametrize("d", HEEGNER_DS)
 @given(st.data())
 def test_chain_kernels_match_the_whole_hull_kernels(d, data):
-    # every stored form, or the NotProper refusal, against the kernels that
-    # built whole hulls.  For d = 3 the orbit doubles the grid.  phi needs
-    # d = 1, so it also runs on the Gaussian orbit hulls of the same points.
+    # the kernels that make one monotone_chain pass, against the reference's
+    # whole hull, on point sets with collinear runs, columns and repeats: the
+    # orbit hull, or its NotProper refusal, in this field (for d = 3 the orbit
+    # doubles the grid) and in the Gaussian one, for phi; Envelope.from_grid
+    # and tmax; then hull_union and minkowski_sum of every pair of what was
+    # built, EMPTY and ZERO among them
     f, gauss = field(d), field(1)
-    grids = [(data.draw(point_sets()), data.draw(st.integers(1, 4))) for _ in range(2)]
     fixed = [SymPolygon.empty(f), SymPolygon.zero(f)]
     duals = [SymPolygon.empty(gauss), SymPolygon.zero(gauss)]
     envs = [Envelope.bottom(), Envelope.zero()]
-    for grid, scale in grids:
+    for _ in range(2):
+        grid, scale = data.draw(point_sets()), data.draw(st.integers(1, 4))
+        pts = ref.rational(grid, scale)
         for h, kept in ((f, fixed), (gauss, duals)):
-            out = _form(SymPolygon.from_grid, h, grid, scale)
-            assert out == _form(_old_from_grid, h, grid, scale)
-            if out is not NotProper:
+            want = ref.orbit_hull(h.d, pts)
+            if len(want) == 2:
+                with pytest.raises(NotProper):
+                    SymPolygon.from_grid(h, grid, scale)
+            else:
                 kept.append(SymPolygon.from_grid(h, grid, scale))
-        assert _form(Envelope.from_grid, grid, scale) == _form(_old_arc, _old_convex_hull(grid), scale)
+                _same_as_reference(kept[-1], want)
         envs.append(Envelope.from_grid(grid, scale))
-    a = data.draw(st.one_of(st.sampled_from(fixed), operands(f)))
-    b = data.draw(st.one_of(st.sampled_from(fixed), operands(f)))
-    # ZERO and EMPTY with each other and themselves every time
-    pairs = [(a, b), (b, a), (a, a)] + [(x, y) for x in fixed[:2] for y in fixed[:2]]
-    for x, y in pairs:
-        assert _form(hull_union, x, y) == _form(_old_hull_union_of_hulls, x, y)
-        assert _form(minkowski_sum, x, y) == _form(_old_minkowski_sum, x, y)
-        if d == 1:
-            duals += [hull_union(x, y), minkowski_sum(x, y)]
+        _same_as_reference(envs[-1], ref.envelope(pts))
+    for x in fixed:
+        for y in fixed:
+            _same_as_reference(hull_union(x, y), ref.hull_union(_ref(x), _ref(y)))
+            _same_as_reference(minkowski_sum(x, y), ref.minkowski_sum(_ref(x), _ref(y)))
+            if d == 1:
+                duals += [hull_union(x, y), minkowski_sum(x, y)]
     for p in duals:
-        assert _form(phi, p) == _form(_old_arc, p.hull, p.scale)
+        _same_as_reference(phi(p), ref.phi(_ref(p)))
     for x in envs:
         for y in envs:
-            assert _form(tmax, x, y) == _form(_old_tmax, x, y)
-
-
-def _old_covers(hull, s: int, pts, t: int) -> bool:
-    # every point (x/t, y/t) lies in the CCW integer hull over denominator s:
-    # cross(b - a, p - a) >= 0 for each edge a -> b, multiplied through by s*t
-    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
-        ex, ey = bx - ax, by - ay
-        c = t * (ex * ay - ey * ax)
-        for x, y in pts:
-            if s * (ex * y - ey * x) < c:
-                return False
-    return True
+            _same_as_reference(tmax(x, y), ref.tmax(_ref(x), _ref(y)))
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
 @given(st.data())
 def test_covers_matches_the_closed_hull_kernel(d, data):
-    # covers on the closed walk against the former kernel, which closed the
-    # hull itself.  The point sets come over a k-fold, unreduced scale: the
-    # other operand's hull, the walked hull's vertices nudged by at most one
-    # grid step (on, just inside and just outside its edges), and free points.
+    # covers on the closed walk, and contains_polygon.  The point sets come
+    # over a k-fold, unreduced scale: the other operand's hull, the walked
+    # hull's vertices nudged by at most one grid step (on, just inside and
+    # just outside its edges), and free points.
     f = field(d)
     a, b = data.draw(operands(f, chained=False)), data.draw(operands(f, chained=False))
     k = data.draw(st.integers(1, 6))
@@ -818,17 +534,17 @@ def test_covers_matches_the_closed_hull_kernel(d, data):
         ([(x * k + data.draw(nudge), y * k + data.draw(nudge)) for x, y in a.hull], a.scale * k),
         (data.draw(st.lists(st.tuples(small, small), max_size=4)), data.draw(st.integers(1, 6))),
     ]
+    walk = a.hull + a.hull[:1]
     for pts, t in point_sets:
-        assert covers(a.hull + a.hull[:1], a.scale, pts, t) == _old_covers(a.hull, a.scale, pts, t)
-    old = _old_covers(a.hull, a.scale, b.hull, b.scale) if a.tag == PROPER else b.tag in (EMPTY, a.tag)
-    assert a.contains_polygon(b) == old
+        assert covers(walk, a.scale, pts, t) == ref.covers(ref.rational(walk, a.scale), ref.rational(pts, t))
+    assert a.contains_polygon(b) == ref.contains(_ref(a), _ref(b))
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
 @given(st.data())
 def test_contains_on_nested_and_touching_pairs(d, data):
     # contains_polygon walks half of the hull; pairs that share vertices or
-    # edges, or nest one step apart, against the Fraction kernel
+    # edges, or nest one step apart
     f = field(d)
     pick = st.one_of(polygons(f), rational_polygons(f), st.sampled_from([dk(f), _square(f, 1), _square(f, 2)]))
     a, b = data.draw(pick), data.draw(pick)
@@ -838,8 +554,8 @@ def test_contains_on_nested_and_touching_pairs(d, data):
     pairs = [(a, a), (u, a), (u, b), (minkowski_sum(a, b), a), (a, scale_act(unit, a))]
     pairs += [(a, scale_act(inner, a)), (a, scale_act(outer, a)), (u, scale_act(outer, b))]
     for x, y in pairs:
-        assert x.contains_polygon(y) == _old_contains_polygon(x, y)
-        assert y.contains_polygon(x) == _old_contains_polygon(y, x)
+        assert x.contains_polygon(y) == ref.contains(_ref(x), _ref(y))
+        assert y.contains_polygon(x) == ref.contains(_ref(y), _ref(x))
 
 
 @pytest.mark.parametrize("d", HEEGNER_DS)
@@ -848,7 +564,7 @@ def test_parallel_edges_join(d):
     base, two = dk(f), QuadRat.from_int(f, 2)
     for a, b in ((base, base), (base, scale_act(two, base)), (_square(f, 1), _square(f, 2))):
         out = minkowski_sum(a, b)
-        _same_stored_form(out, _branchy_minkowski_sum(a, b))
+        _same_as_reference(out, ref.minkowski_sum(_ref(a), _ref(b)))
         # b is a multiple of a, so every edge of b is parallel to one of a
         assert len(out.hull) == len(a.hull)
 
@@ -902,12 +618,12 @@ def test_linear_kernels_build_no_hull(d, monkeypatch):
     Envelope.from_grid(list(arc.arc), 1)
     assert len(calls) == 3
     assert len(a.hull) >= 100
-    _same_stored_form(summed, _branchy_minkowski_sum(a, b))
-    _same_stored_form(scaled, _branchy_scale_act(mu, a))
-    _same_stored_form(zeroed, SymPolygon.zero(f))
+    _same_as_reference(summed, ref.minkowski_sum(_ref(a), _ref(b)))
+    _same_as_reference(scaled, ref.scale_act(d, _elt(mu), _ref(a)))
+    _same_as_reference(zeroed, ref.scale_act(d, (0, 0), _ref(a)))
+    # every edge of arc + arc is an edge of arc, doubled
     assert (out.scale, out.arc) == (1, tuple((2 * x, 2 * y) for x, y in arc.arc))
-    old = _old_arc(gauss.hull, gauss.scale)
-    assert (e.scale, e.arc) == (old.scale, old.arc)
+    _same_as_reference(e, ref.phi(_ref(gauss)))
     # the view is no field: a polygon whose view was read is its fresh copy
     assert [x.name for x in dataclasses.fields(SymPolygon)] == ["field", "scale", "lower"]
     fresh = SymPolygon(a.field, a.scale, a.lower)
