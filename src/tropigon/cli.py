@@ -26,6 +26,9 @@ Each input that sizes the work has a cap, and past it the request exits 2:
     member/stalk search reached polygons   polygeom.MAX_MEMBERSHIP_NODES     out-of-budget
     tensor reduce: pairs that the witness  tensorlab.MAX_WITNESS_PAIRS       out-of-budget
       search's products cross, summed
+    tensor: raw pairs of one normal form:  tensorlab.MAX_TENSOR_PAIRS        out-of-budget
+      a parsed tensor, or the cross of a
+      tensor product, before it is built
 
 The membership caps hold for d not in {1, 3}, where membership is a
 breadth-first search.

@@ -27,7 +27,11 @@ and `tplus` is their Minkowski sum by `polygeom.chain_sum`, as
 and every edge points strictly between the directions (0, 1) and (-1, 0),
 so the merged arc is the arc of the sum, and `leq` is the half-plane test
 `polygeom.covers` on g's arc closed by its two end directions.  All are
-exact, and BOTTOM and zero need no case of their own.
+exact, and BOTTOM and zero need no case of their own.  The steps on bare
+integer arcs over one scale are written once each: `cut`, `grid_arc` (the
+chain pass and the cut, which `from_grid` brings to lowest terms) and
+`leq_walk` (the closed walk).  `tensorlab`'s normal form calls them on its
+own grid and builds no `Envelope` until its output.
 
 For d = 1 the support function of a symmetric polygon restricted to this
 segment gives an isomorphism of semirings: hull-union becomes pointwise max
@@ -49,11 +53,24 @@ Line = tuple[Fraction, Fraction]
 NEG_INF = float("-inf")
 
 
-def _cut(upper, scale: int) -> Envelope:
-    # an upper hull chain from its greatest point, up to its first highest
-    # point: the one maximizing (b, a).  An empty chain is BOTTOM.
+def cut(upper):
+    """An upper hull chain from its greatest point, up to its first highest
+    point: the one maximizing (b, a).  An empty chain stays empty."""
     i = max(range(len(upper)), key=lambda i: upper[i][1], default=-1)
-    return Envelope(*lowest_terms(scale, upper[: i + 1]))
+    return upper[: i + 1]
+
+
+def grid_arc(pts):
+    """The arc of the integer lines pts, over whatever scale they share: one
+    chain pass over the points sorted in reverse, then `cut`."""
+    return cut(monotone_chain(sorted(pts, reverse=True)))
+
+
+def leq_walk(arc):
+    """A nonempty arc closed by its two end directions: the walk whose edges
+    bound every envelope at most the arc's (see `leq`)."""
+    (a0, b0), (a1, b1) = arc[0], arc[-1]
+    return ((a0, b0 - 1),) + arc + ((a1 - 1, b1),)
 
 
 @dataclass(frozen=True)
@@ -72,7 +89,7 @@ class Envelope:
     @staticmethod
     def from_grid(pts, scale: int) -> Envelope:
         """The envelope of the lines (x/scale, y/scale) for integer points (x, y)."""
-        return _cut(monotone_chain(sorted(pts, reverse=True)), scale)
+        return Envelope(*lowest_terms(scale, grid_arc(pts)))
 
     @staticmethod
     def zero() -> Envelope:
@@ -131,15 +148,14 @@ def leq(f: Envelope, g: Envelope) -> bool:
         return True
     if not g.arc:
         return False
-    (a0, b0), (a1, b1) = g.arc[0], g.arc[-1]
-    return covers(((a0, b0 - 1),) + g.arc + ((a1 - 1, b1),), g.scale, f.arc, f.scale)
+    return covers(leq_walk(g.arc), g.scale, f.arc, f.scale)
 
 
 def phi(p: SymPolygon) -> Envelope:
     if p.field.d != 1:
         raise WrongField("the functional dual is built for d=1")
     # the stored lower chain negated is the upper chain, from the greatest vertex
-    return _cut([(-x, -y) for x, y in p.lower], p.scale)
+    return Envelope(*lowest_terms(p.scale, cut([(-x, -y) for x, y in p.lower])))
 
 
 def phi_inv(f: Envelope) -> SymPolygon:

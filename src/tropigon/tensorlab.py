@@ -6,6 +6,21 @@ decidable here, so two one-sided oracles bracket it: `normalize` equality is
 a sufficient certificate (every rewrite follows from bilinearity), and
 `eval_separator` DISTINCT is a necessary refutation (it exhibits a concrete
 bilinear map to B that disagrees).
+
+The normal form runs on one integer grid: every arc of its input is rescaled
+once to the lcm L of the input's scales (all factors', for a product), so an
+envelope is a tuple of integer points, equal exactly when the envelopes are.
+A product's cross is `polygeom.chain_sum` on those arcs.  The fixpoint
+merges pairs by first component, then by second (tmax is `envelope.grid_arc`
+of the union), and drops every pair that another bounds in both components.
+A pair can only be bounded by one whose four end values e(0) = arc[0][0],
+e(1) = arc[-1][1], f(0) and f(1) are each at least as high; per end value
+that set of pairs is one int of bits, and only pairs in all four sets are
+walked (`polygeom.covers` on `envelope.leq_walk`, both scales L).  The kept
+pairs come out sorted by their arcs, the order of their `lines` views, and
+only they become `Envelope`s (an input arc maps back to its input
+envelope, so only new arcs are reduced).  One normal form takes at most
+MAX_TENSOR_PAIRS raw pairs; a product counts its cross before building it.
 """
 
 from __future__ import annotations
@@ -14,9 +29,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .envelope import NEG_INF, Envelope, eval_at, leq, phi, phi_inv, tmax, tplus
+from .envelope import NEG_INF, Envelope, eval_at, grid_arc, leq_walk, phi, phi_inv
 from .errors import OutOfBudget, WrongField
-from .polygeom import scale_act
+from .polygeom import chain_sum, covers, lowest_terms, scale_act
 from .quadfield import QuadInt, QuadRat
 
 Pair = tuple[Envelope, Envelope]
@@ -31,43 +46,84 @@ UNKNOWN = "unknown"
 # the search raises OutOfBudget.
 MAX_WITNESS_BOUND = 16
 MAX_WITNESS_PAIRS = 5_000
+# The raw pairs that one normal form may take: a parsed tensor, a sum, or the
+# cross of a tensor product, counted before it is built.  Past it the normal
+# form raises OutOfBudget.  It is not below MAX_WITNESS_PAIRS, so the witness
+# search meets its own budget first.
+MAX_TENSOR_PAIRS = 5_000
 
 
-def _sorted_pairs(pairs) -> tuple[Pair, ...]:
-    """The pairs in the order of their `lines` views, compared in integers.
-
-    Each arc is rescaled to the lcm L of all scales in the set: x -> x*L/s
-    is strictly increasing, so the order is that of the rationals x/s.
-    """
-    lcm = math.lcm(*(e.scale for pair in pairs for e in pair))
-
-    def rescaled(e: Envelope):
-        m = lcm // e.scale
-        return tuple((a * m, b * m) for a, b in e.arc)
-
-    return tuple(sorted(pairs, key=lambda pair: (rescaled(pair[0]), rescaled(pair[1]))))
+def _budget(pairs: int) -> None:
+    if pairs > MAX_TENSOR_PAIRS:
+        raise OutOfBudget(f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs")
 
 
-def _normalize_pairs(pairs) -> tuple[Pair, ...]:
+def _on_grid(pairs, scale: int, known: dict) -> list:
+    # each envelope as its arc rescaled to `scale`, a multiple of its own;
+    # `known` maps each such arc back to its envelope
+    def arc(e: Envelope):
+        m = scale // e.scale
+        a = e.arc if m == 1 else tuple((x * m, y * m) for x, y in e.arc)
+        known[a] = e
+        return a
+
+    return [(arc(e), arc(f)) for e, f in pairs]
+
+
+def _merge(pairs) -> list:
+    # pairs with one first component as one, their second components joined
+    # by tmax; each comes out swapped, so two calls merge by both components
+    groups: dict = {}
+    for e, f in pairs:
+        groups.setdefault(e, []).append(f)
+    return [
+        (fs[0] if len(fs) == 1 else tuple(grid_arc([p for f in fs for p in f])), e) for e, fs in groups.items()
+    ]
+
+
+def _at_least(values) -> list[int]:
+    # for each value, the indices of the values at least as large, as bits
+    sets: dict = {}
+    for i, v in enumerate(values):
+        sets[v] = sets.get(v, 0) | (1 << i)
+    above = 0
+    for v in sorted(sets, reverse=True):
+        above = sets[v] = above | sets[v]
+    return [sets[v] for v in values]
+
+
+def _undominated(pairs) -> set:
+    """Of distinct pairs, those (e, f) that no other pair bounds: e <= e' and f <= f'."""
+    ends = [(e[0][0], e[-1][1], f[0][0], f[-1][1]) for e, f in pairs]
+    walks = [(leq_walk(e), leq_walk(f)) for e, f in pairs]
+    above = zip(*(_at_least(column) for column in zip(*ends)))
+    kept = set()
+    for i, (pair, (a, b, c, d)) in enumerate(zip(pairs, above)):
+        rivals = a & b & c & d & ~(1 << i)
+        while rivals:
+            j = rivals.bit_length() - 1
+            rivals ^= 1 << j
+            if covers(walks[j][0], 1, pair[0], 1) and covers(walks[j][1], 1, pair[1], 1):
+                break
+        else:
+            kept.add(pair)
+    return kept
+
+
+def _normal_form(pairs, scale: int, known: dict) -> FormalTensor:
     # a bottom component annihilates its pair: any bilinear map kills it
-    cur = {(e, f) for e, f in pairs if not e.is_bottom() and not f.is_bottom()}
-    while True:
-        by_first: dict[Envelope, Envelope] = {}
-        for e, f in cur:
-            by_first[e] = tmax(by_first[e], f) if e in by_first else f
-        merged = {(e, f) for e, f in by_first.items()}
-        by_second: dict[Envelope, Envelope] = {}
-        for e, f in merged:
-            by_second[f] = tmax(by_second[f], e) if f in by_second else e
-        merged = {(e, f) for f, e in by_second.items()}
-        kept = {
-            p
-            for p in merged
-            if not any(q != p and leq(p[0], q[0]) and leq(p[1], q[1]) for q in merged)
-        }
+    cur = {(e, f) for e, f in pairs if e and f}
+    while len(cur) > 1:
+        kept = _undominated(_merge(_merge(cur)))
         if kept == cur:
-            return _sorted_pairs(cur)
+            break
         cur = kept
+
+    def envelope(arc) -> Envelope:
+        # an input arc is its input envelope; only new arcs are reduced
+        return known[arc] if arc in known else Envelope(*lowest_terms(scale, arc))
+
+    return FormalTensor(tuple((envelope(e), envelope(f)) for e, f in sorted(cur)))
 
 
 @dataclass(frozen=True)
@@ -76,7 +132,11 @@ class FormalTensor:
 
     @staticmethod
     def make(pairs) -> FormalTensor:
-        return FormalTensor(_normalize_pairs(pairs))
+        pairs = list(pairs)
+        _budget(len(pairs))
+        scale = math.lcm(*(e.scale for pair in pairs for e in pair))
+        known: dict = {}
+        return _normal_form(_on_grid(pairs, scale, known), scale, known)
 
     @staticmethod
     def bottom() -> FormalTensor:
@@ -112,12 +172,17 @@ def tensor_product(factors) -> FormalTensor:
     regroupings of the same factors agree on the nose.
     """
     factors = list(factors)
+    if not factors:
+        return FormalTensor.neutral()
     if any(t.is_bottom() for t in factors):
         return FormalTensor.bottom()
-    acc: list[Pair] = [(Envelope.zero(), Envelope.zero())]
-    for t in factors:
-        acc = [(tplus(e, e2), tplus(f, f2)) for e, f in acc for e2, f2 in t.pairs]
-    return FormalTensor.make(acc)
+    _budget(math.prod(len(t.pairs) for t in factors))
+    scale = math.lcm(*(e.scale for t in factors for pair in t.pairs for e in pair))
+    known: dict = {}
+    cross, *rest = (_on_grid(t.pairs, scale, known) for t in factors)
+    for pairs in rest:
+        cross = [(tuple(chain_sum(e, e2)), tuple(chain_sum(f, f2))) for e, f in cross for e2, f2 in pairs]
+    return _normal_form(cross, scale, known)
 
 
 def tensor_mul(s: FormalTensor, t: FormalTensor) -> FormalTensor:

@@ -1,7 +1,8 @@
 """Reference definitions of the polygon and envelope kernels, for the tests.
 
-Each operation of `tropigon.polygeom` and `tropigon.envelope` is written
-here from its definition, in exact rationals.  This module imports only the
+Each operation of `tropigon.polygeom` and `tropigon.envelope`, and the
+normal form of `tropigon.tensorlab`, is written here from its definition,
+in exact rationals.  This module imports only the
 standard library and shares no code with the package, so a fault in a kernel
 cannot hide in its own oracle.
 
@@ -11,9 +12,10 @@ vertices, CCW from the lexicographically least one, strict turns only: ()
 is EMPTY and ((0, 0),) ZERO.  A line (a, b) is the function
 t -> a + (b - a)*t on [0, 1], and an envelope is the tuple of the lines that
 attain its max on an interval of positive length, by increasing slope b - a:
-() is BOTTOM.  Coordinates are `Fraction`s; an operation on many points
-brings them over one common denominator first, where the arithmetic is on
-integers and so fast enough for polygons of a few hundred vertices.
+() is BOTTOM.  A tensor is a tuple of envelope pairs.  Coordinates are
+`Fraction`s; an operation on many points brings them over one common
+denominator first, where the arithmetic is on integers and so fast enough
+for polygons of a few hundred vertices.
 """
 
 import math
@@ -209,3 +211,39 @@ def phi_inv(f):
     """The Gaussian polygon whose support function on those directions is f:
     the hull of the unit orbits of its lines."""
     return orbit_hull(1, f)
+
+
+def normal_form(pairs):
+    """The normal form of a set of envelope pairs, sorted.
+
+    Pairs with a BOTTOM component go.  Then, until nothing changes: the pairs
+    with one first component become one, its second component the `tmax` of
+    theirs; the same by second component; and every pair that another
+    bounds in both components by `leq` goes.
+    """
+    cur = {(e, f) for e, f in pairs if e and f}
+    while True:
+        by_first = {}
+        for e, f in cur:
+            by_first[e] = tmax(by_first[e], f) if e in by_first else f
+        by_second = {}
+        for e, f in by_first.items():
+            by_second[f] = tmax(by_second[f], e) if f in by_second else e
+        merged = {(e, f) for f, e in by_second.items()}
+        kept = {p for p in merged if not any(q != p and leq(p[0], q[0]) and leq(p[1], q[1]) for q in merged)}
+        if kept == cur:
+            return tuple(sorted(cur))
+        cur = kept
+
+
+def tensor_add(s, t):
+    return normal_form(s + t)
+
+
+def tensor_product(*tensors):
+    """The normal form of every choice of one pair per tensor, summed by `tplus` in each component."""
+    zero = ((Fraction(0), Fraction(0)),)
+    pairs = [(zero, zero)]
+    for t in tensors:
+        pairs = [(tplus(e, e2), tplus(f, f2)) for e, f in pairs for e2, f2 in t]
+    return normal_form(pairs)

@@ -14,7 +14,7 @@ from tropigon import cli, wire
 from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
 from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
 from tropigon.adelic import MAX_NAMED_PRIME
-from tropigon.tensorlab import MAX_WITNESS_PAIRS, random_envelope
+from tropigon.tensorlab import MAX_TENSOR_PAIRS, MAX_WITNESS_PAIRS, random_envelope
 from tropigon.errors import MalformedInput
 from tropigon.quadfield import field
 from tropigon.wire import MAX_VECTOR_BITS
@@ -360,6 +360,17 @@ _UNDER = [
 _FRUITLESS = _gamma_pair(_UNDER + [[_lines((-2, -2)), _lines((0, -1), (-3, 4))]], _UNDER)
 
 
+def _antichain(n, step=1):
+    # (k - kx) (x) (-k + ky) for k < n: no pair bounds another and nothing merges
+    return {"pairs": [[_lines((k * step, -k * step)), _lines((-k * step, k * step))] for k in range(n)]}
+
+
+def _cross(m, n):
+    # gamma(A) against the neutral element shifted by B: the cross tensor A*B keeps all m*n pairs
+    one = {"pairs": [[_lines((0, 0)), _lines((0, 0))]]}
+    return {"x": {"a": _antichain(m), "b": one}, "y": {"a": one, "b": _antichain(n, m)}}
+
+
 # One row per cap on an input that sizes work: the largest allowed input
 # answers within the timeout, and one step past the cap exits 2.  A row may
 # name a third input, far past the cap, that must also exit 2 in time.
@@ -421,6 +432,20 @@ WORK_CAPS = [
         {"error": f"witness search crossed more than {MAX_WITNESS_PAIRS} pairs", "kind": "out-of-budget"},
         None,
         id="witness-pairs",
+    ),
+    # every pair is kept, and the largest still answers in under a second
+    pytest.param(
+        ["tensor", "normalize"], _antichain(MAX_TENSOR_PAIRS), _antichain(MAX_TENSOR_PAIRS + 1),
+        {"error": f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs", "kind": "out-of-budget"},
+        None,
+        id="tensor-pairs",
+    ),
+    # 5000 = 50 * 100 and 5001 = 3 * 1667; the far cross of 10**6 pairs is refused before it is built
+    pytest.param(
+        ["tensor", "reduce"], _cross(50, 100), _cross(3, 1667),
+        {"error": f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs", "kind": "out-of-budget"},
+        _cross(1000, 1000),
+        id="product-pairs",
     ),
 ]
 

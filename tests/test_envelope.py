@@ -278,7 +278,13 @@ def test_tplus_matches_the_fraction_sums(f, g):
     _same_as_reference(tplus(f, g), ref.tplus(_ref(f), _ref(g)))
 
 
+# the orbit hull of (3/2, 1/2) and (1, 1) by its stored lower chain, built
+# by no kernel: phi's arc is three lines, (3/2, 1/2), (1, 1) and (-1/2, 3/2)
+_THREE_LINE_ARC = SymPolygon(field(1), 2, ((-3, -1), (-2, -2), (1, -3), (2, -2), (3, 1)))
+
+
 @given(rational_gaussian_polygons())
+@example(_THREE_LINE_ARC)
 def test_phi_matches_the_fraction_orbit_points(p):
     e = phi(p)
     _same_as_reference(e, ref.phi(_ref(p)))

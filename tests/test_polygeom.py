@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropigon import (
@@ -380,7 +380,16 @@ def mixed_pairs(draw):
     return draw(pick), draw(pick)
 
 
+# D_K of d = 2 by its stored lower chain: building it at import time would
+# run the kernels that a mutation breaks before any test could report it
+_D2 = SymPolygon(field(2), 1, ((-1, 0), (0, -1), (1, 0)))
+
+
 @given(mixed_pairs(), st.fractions(-4, 4, max_denominator=6), st.fractions(-4, 4, max_denominator=6))
+@example((SymPolygon.empty(field(2)), _D2), Fraction(0), Fraction(0))
+@example((_D2, SymPolygon.empty(field(2))), Fraction(1, 2), Fraction(0))
+@example((SymPolygon.zero(field(2)), _D2), Fraction(0), Fraction(0))
+@example((_D2, SymPolygon.zero(field(2))), Fraction(0), Fraction(1, 3))
 def test_contains_matches_the_fraction_kernel(ab, x, y):
     a, b = ab
     A, B = _ref(a), _ref(b)

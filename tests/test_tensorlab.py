@@ -41,14 +41,16 @@ from tropigon import tensorlab, wire
 from tropigon.errors import OutOfBudget, OutOfDomain, WrongField
 from tropigon.selftest import _lowered
 from tropigon.tensorlab import (
+    MAX_TENSOR_PAIRS,
     MAX_WITNESS_PAIRS,
     UNKNOWN,
     _exceeds_somewhere,
-    _sorted_pairs,
     _witness_candidates,
     random_envelope,
     random_tensor,
 )
+
+import reference as ref
 
 F1 = field(1)
 
@@ -159,9 +161,92 @@ _SCALED_ENVELOPES = st.builds(Envelope.of, st.lists(st.tuples(_SCALED_RATS, _SCA
 
 @given(st.sets(st.tuples(_SCALED_ENVELOPES, _SCALED_ENVELOPES), max_size=4))
 def test_pair_order_matches_the_lines_views(pairs):
-    # the integer key must order pairs as the rational `lines` views do, since
-    # the wire output and the selftest stdout depend on that order
-    assert list(_sorted_pairs(pairs)) == sorted(pairs, key=lambda p: (p[0].lines, p[1].lines))
+    # the normal form sorts pairs by their integer arcs over one scale; that
+    # must be the order of their rational `lines` views, since the wire output
+    # and the selftest stdout depend on it
+    out = normalize(FormalTensor(tuple(pairs))).pairs
+    assert list(out) == sorted(out, key=lambda p: (p[0].lines, p[1].lines))
+
+
+# ------------------------------------------------------ reference normal form
+
+
+def _anti(ks, step=1):
+    # (k - kx) (x) (-k + ky): no pair bounds another, and nothing merges
+    return [(_env((k * step, -k * step)), _env((-k * step, k * step))) for k in ks]
+
+
+def _dent(h):
+    # ends 0 and 0 with a dent of depth h in the middle: deeper dents lie lower
+    return _env((0, -20), (-20, 0), (-h, -h))
+
+
+@st.composite
+def _raw_pairs(draw):
+    """Pairs before any normal form: an antichain, equal-end dents, or pairs
+    drawn from a small pool, so that components repeat and merge by tmax."""
+    kind = draw(st.sampled_from(["antichain", "equal-end", "pool", "pool"]))
+    if kind == "antichain":
+        step = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3)]))
+        return _anti(sorted(draw(st.sets(st.integers(-5, 5), min_size=1, max_size=4))), step)
+    if kind == "equal-end":
+        depths = st.integers(0, 9)
+        return [(_dent(a), _dent(b)) for a, b in draw(st.lists(st.tuples(depths, depths), min_size=1, max_size=4))]
+    envelopes = st.one_of(_SCALED_ENVELOPES, _SCALED_ENVELOPES, _SCALED_ENVELOPES, st.just(Envelope.bottom()))
+    pool = draw(st.lists(envelopes, min_size=1, max_size=4))
+    return draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=4))
+
+
+def _ref_pairs(pairs):
+    return tuple((ref.rational(e.arc, e.scale), ref.rational(f.arc, f.scale)) for e, f in pairs)
+
+
+def _same_as_reference(t, want):
+    assert _ref_pairs(t.pairs) == want
+    # every envelope over the least common denominator of its lines
+    assert all(ref.integer_form(ref.rational(e.arc, e.scale)) == (e.scale, e.arc) for pair in t.pairs for e in pair)
+
+
+@given(st.lists(_raw_pairs(), min_size=1, max_size=3))
+@settings(deadline=None)
+@example([_anti(range(4)), _anti(range(4), 4)])  # a 16-pair antichain
+@example([[(_dent(1), _dent(5)), (_dent(5), _dent(1)), (_dent(3), _dent(3)), (_dent(4), _dent(4))]])
+# merges by first component, then by second
+@example([[(E_UNIT, _env((1, 0))), (E_UNIT, _env((0, 1))), (_env((1, 0)), E_TWICE), (_env((0, 1)), E_TWICE)]])
+@example([[(E_UNIT, E_TWICE), (Envelope.bottom(), E_TWICE)], []])  # a bottom pair and a bottom factor
+def test_normal_form_matches_the_reference(raws):
+    tensors = [FormalTensor(tuple(pairs)) for pairs in raws]
+    refs = [_ref_pairs(pairs) for pairs in raws]
+    for t, r in zip(tensors, refs):
+        _same_as_reference(normalize(t), ref.normal_form(r))
+    _same_as_reference(tensor_add(tensors[0], tensors[-1]), ref.tensor_add(refs[0], refs[-1]))
+    _same_as_reference(tensor_product(tensors), ref.tensor_product(*refs))
+
+
+def test_the_pair_budget_is_counted_before_the_cross(monkeypatch):
+    two, three = FormalTensor.make(_anti(range(2))), FormalTensor.make(_anti(range(3), 3))
+    monkeypatch.setattr(tensorlab, "MAX_TENSOR_PAIRS", 6)
+    assert len(tensor_product((two, three)).pairs) == 6
+    assert len(FormalTensor.make(_anti(range(6))).pairs) == 6
+    monkeypatch.setattr(tensorlab, "MAX_TENSOR_PAIRS", 5)
+
+    def unreachable(p, q):
+        raise AssertionError("the cross was built")
+
+    monkeypatch.setattr(tensorlab, "chain_sum", unreachable)
+    for build in (
+        lambda: tensor_product((two, three)),
+        lambda: FormalTensor.make(_anti(range(6))),
+        lambda: tensor_add(three, FormalTensor.make(_anti(range(3), 5))),
+    ):
+        with pytest.raises(OutOfBudget, match="a tensor normal form takes more than 5 pairs"):
+            build()
+
+
+def test_the_witness_budget_binds_before_the_pair_budget():
+    # a product that the witness search builds crosses at most MAX_WITNESS_PAIRS
+    # pairs, so the search is refused for its own budget, with its own text
+    assert MAX_TENSOR_PAIRS >= MAX_WITNESS_PAIRS
 
 
 GRID = [Fraction(k, 4) for k in range(5)]
