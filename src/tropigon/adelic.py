@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import (
+    MAX_NAMED_PRIME,
     InvalidSection,
     MalformedInput,
     OutOfBudget,
@@ -24,6 +25,7 @@ from .errors import (
     ZeroInput,
     ZeroModule,
     check,
+    within,
 )
 from .polygeom import PROPER, SymPolygon, membership_in_generated, scale_act
 from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd, same_field
@@ -70,11 +72,6 @@ def _ideal_gen(f: Field, p: int, r: int) -> QuadInt:
     return g
 
 
-# primes_above scans range(p), about 2 s at this cap; it bounds a named prime
-# and the sum of the primes that a module generator's support asks for
-MAX_NAMED_PRIME = 10**7
-
-
 @lru_cache(maxsize=4096)
 def primes_above(f: Field, p: int) -> tuple[PrimeIdeal, ...]:
     if _prime_factors(p)[0] != [p]:
@@ -98,11 +95,6 @@ def sieve(bound: int) -> list[int]:
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return [i for i in range(2, bound + 1) if flags[i]]
-
-
-# the largest prime bound of a request: primes_upto sieves up to it, and
-# section_violation trial-divides each denominator by the primes below it
-MAX_PRIME_BOUND = 10_000
 
 
 def primes_upto(f: Field, bound: int) -> list[PrimeIdeal]:
@@ -222,11 +214,10 @@ def _prime_factors(n: int, upto: int | None = None) -> tuple[list[int], int]:
 
 def support_primes(q: QuadRat) -> list[PrimeIdeal]:
     # every prime where v(q) could be nonzero lies above norm(num)*den
+    # rest is 0, 1, or has only prime factors over the cap, so it is over the cap iff it is over 1
     ps, rest = _prime_factors(q.num.norm() * q.den, MAX_NAMED_PRIME)
-    if rest > 1:
-        raise OutOfBudget(f"norm times denominator has a prime factor over {MAX_NAMED_PRIME}")
-    if sum(ps) > MAX_NAMED_PRIME:
-        raise OutOfBudget(f"prime factors of norm times denominator sum to more than {MAX_NAMED_PRIME}")
+    within(rest, MAX_NAMED_PRIME, OutOfBudget, "norm times denominator has a prime factor over {cap}")
+    within(sum(ps), MAX_NAMED_PRIME, OutOfBudget, "prime factors of norm times denominator sum to more than {cap}")
     out: list[PrimeIdeal] = []
     for p in ps:
         out.extend(primes_above(q.field, p))

@@ -7,31 +7,8 @@ unreadable or unwritable file, 3 internal error (traceback on stderr); each
 error prints a one-line JSON object describing it.  141 (128 + SIGPIPE): the
 reader closed stdout early, and nothing more is printed.
 
-Each input that sizes the work has a cap, and past it the request exits 2:
-
-    input                                  cap                               kind
-    primes --bound                         adelic.MAX_PRIME_BOUND            malformed-input
-    tensor experiment --bound              MAX_EXPERIMENT_SAMPLES            malformed-input
-    tensor --witness-bound                 tensorlab.MAX_WITNESS_BOUND       malformed-input
-    "bound" of an adele section            adelic.MAX_PRIME_BOUND            malformed-input
-    "p" of a named prime                   adelic.MAX_NAMED_PRIME            malformed-input
-    the sum of the distinct named "p" of   adelic.MAX_NAMED_PRIME            malformed-input
-      one vector, module or section
-    adele vector: a prime factor of        adelic.MAX_NAMED_PRIME            out-of-budget
-      norm(num)*den of delta/generator
-    adele vector: the sum of those primes  adelic.MAX_NAMED_PRIME            out-of-budget
-    sum of |e|*bits(p) of an input vector  wire.MAX_VECTOR_BITS              malformed-input
-    digits of an integer in the answer     sys.get_int_max_str_digits()      out-of-budget
-    member/stalk search norm bound         polygeom.MAX_MEMBERSHIP_NORM      out-of-budget
-    member/stalk search reached polygons   polygeom.MAX_MEMBERSHIP_NODES     out-of-budget
-    tensor reduce: pairs that the witness  tensorlab.MAX_WITNESS_PAIRS       out-of-budget
-      search's products cross, summed
-    tensor: raw pairs of one normal form:  tensorlab.MAX_TENSOR_PAIRS        out-of-budget
-      a parsed tensor, or the cross of a
-      tensor product, before it is built
-
-The membership caps hold for d not in {1, 3}, where membership is a
-breadth-first search.
+Each input that sizes the work has a cap, and past it the request exits 2;
+`errors` declares the caps and lists each check.
 """
 
 from __future__ import annotations
@@ -44,7 +21,6 @@ import sys
 
 from . import wire
 from .adelic import (
-    MAX_PRIME_BOUND,
     adele_from_module,
     ideal_count_upto,
     iso_class_equal,
@@ -54,19 +30,19 @@ from .adelic import (
     section_violation,
 )
 from .envelope import phi, phi_inv
-from .errors import DomainError, MalformedInput, OutOfBudget
+from .errors import (
+    MAX_EXPERIMENT_SAMPLES,
+    MAX_PRIME_BOUND,
+    MAX_WITNESS_BOUND,
+    DomainError,
+    MalformedInput,
+    OutOfBudget,
+    within,
+)
 from .polygeom import hull_union, membership_in_generated, minkowski_sum, scale_act, stalk_scale
 from .quadfield import Field
 from .render import render_polygon_svg
-from .tensorlab import (
-    MAX_WITNESS_BOUND,
-    ReducedElement,
-    cancellativity_experiment,
-    eval_separator,
-    reduced_equal,
-)
-
-MAX_EXPERIMENT_SAMPLES = 1_000
+from .tensorlab import ReducedElement, cancellativity_experiment, eval_separator, reduced_equal
 
 
 def _load_json(args) -> object:
@@ -172,7 +148,7 @@ def cmd_dual(args) -> dict:
 
 def cmd_primes(args) -> dict:
     f = _field_flag(args, required=True)
-    bound = wire.at_most(args.bound, MAX_PRIME_BOUND, "--bound")
+    bound = within(args.bound, MAX_PRIME_BOUND, MalformedInput, "--bound must be <= {cap}")
     if bound < 2:
         raise MalformedInput("--bound must be >= 2")
     return {
@@ -236,9 +212,9 @@ def _reduced(data: dict, key: str) -> ReducedElement:
 
 
 def cmd_tensor(args) -> dict | int:
-    wb = wire.at_most(args.witness_bound, MAX_WITNESS_BOUND, "--witness-bound")
+    wb = within(args.witness_bound, MAX_WITNESS_BOUND, MalformedInput, "--witness-bound must be <= {cap}")
     if args.op == "experiment":
-        samples = wire.at_most(args.bound, MAX_EXPERIMENT_SAMPLES, "--bound")
+        samples = within(args.bound, MAX_EXPERIMENT_SAMPLES, MalformedInput, "--bound must be <= {cap}")
         for rec in cancellativity_experiment(samples, seed=args.seed):
             for key in ("a", "a_prime", "c"):
                 rec[key] = wire.tensor_to_json(rec[key])

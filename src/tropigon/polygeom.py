@@ -40,18 +40,21 @@ from fractions import Fraction
 from functools import cache, cached_property
 from operator import lshift
 
-from .errors import NotLattice, NotProper, OutOfBudget, WrongField, ZeroInput
+from .errors import (
+    MAX_MEMBERSHIP_NODES,
+    MAX_MEMBERSHIP_NORM,
+    NotLattice,
+    NotProper,
+    OutOfBudget,
+    WrongField,
+    ZeroInput,
+    within,
+)
 from .quadfield import Field, PlanePoint, QuadInt, QuadRat, from_affix, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
 PROPER = "proper"
-
-# Caps on the membership search for d not in {1, 3}: the norm bound of its
-# candidate enumeration, and the number of polygons it may reach.  Past either
-# one it raises OutOfBudget.
-MAX_MEMBERSHIP_NORM = 400
-MAX_MEMBERSHIP_NODES = 2_000
 
 
 def to_grid(pairs):
@@ -411,8 +414,7 @@ def membership_in_generated(
 
     # breadth-first closure over Minkowski sums of admissible generators
     bound = max(s.norm() for s in sector_ints)
-    if bound > MAX_MEMBERSHIP_NORM:
-        raise OutOfBudget(f"membership search norm bound {bound} is over {MAX_MEMBERSHIP_NORM}")
+    within(bound, MAX_MEMBERSHIP_NORM, OutOfBudget, "membership search norm bound {value} is over {cap}")
     walls = _half_normals(scaled.lower)
     cand = _candidates(scaled, walls, bound)
 
@@ -495,8 +497,7 @@ def membership_in_generated(
     def reach(v: int, rs: tuple[int, ...]):
         seen[v] = rs
         queue.append(v)
-        if len(seen) > MAX_MEMBERSHIP_NODES:
-            raise OutOfBudget(f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes")
+        within(len(seen), MAX_MEMBERSHIP_NODES, OutOfBudget, "membership search reached more than {cap} nodes")
 
     for r, v in vecs:
         if v not in seen:

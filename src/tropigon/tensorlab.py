@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 
 from .envelope import NEG_INF, Envelope, eval_at, grid_arc, leq_walk, phi, phi_inv
-from .errors import OutOfBudget, WrongField
+from .errors import MAX_TENSOR_PAIRS, MAX_WITNESS_PAIRS, OutOfBudget, WrongField, within
 from .polygeom import chain_sum, covers, lowest_terms, scale_act
 from .quadfield import QuadInt, QuadRat
 
@@ -40,22 +40,6 @@ DISTINCT = "distinct"
 POSSIBLY_EQUAL = "possibly_equal"
 EQUAL = "equal"
 UNKNOWN = "unknown"
-
-# Caps on the witness search of `reduced_equal`: the depth a caller may ask
-# for, and the pairs its tensor products may cross in all.  Past the second
-# the search raises OutOfBudget.
-MAX_WITNESS_BOUND = 16
-MAX_WITNESS_PAIRS = 5_000
-# The raw pairs that one normal form may take: a parsed tensor, a sum, or the
-# cross of a tensor product, counted before it is built.  Past it the normal
-# form raises OutOfBudget.  It is not below MAX_WITNESS_PAIRS, so the witness
-# search meets its own budget first.
-MAX_TENSOR_PAIRS = 5_000
-
-
-def _budget(pairs: int) -> None:
-    if pairs > MAX_TENSOR_PAIRS:
-        raise OutOfBudget(f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs")
 
 
 def _on_grid(pairs, scale: int, known: dict) -> list:
@@ -133,7 +117,7 @@ class FormalTensor:
     @staticmethod
     def make(pairs) -> FormalTensor:
         pairs = list(pairs)
-        _budget(len(pairs))
+        within(len(pairs), MAX_TENSOR_PAIRS, OutOfBudget, "a tensor normal form takes more than {cap} pairs")
         scale = math.lcm(*(e.scale for pair in pairs for e in pair))
         known: dict = {}
         return _normal_form(_on_grid(pairs, scale, known), scale, known)
@@ -176,7 +160,8 @@ def tensor_product(factors) -> FormalTensor:
         return FormalTensor.neutral()
     if any(t.is_bottom() for t in factors):
         return FormalTensor.bottom()
-    _budget(math.prod(len(t.pairs) for t in factors))
+    raw = math.prod(len(t.pairs) for t in factors)
+    within(raw, MAX_TENSOR_PAIRS, OutOfBudget, "a tensor normal form takes more than {cap} pairs")
     scale = math.lcm(*(e.scale for t in factors for pair in t.pairs for e in pair))
     known: dict = {}
     cross, *rest = (_on_grid(t.pairs, scale, known) for t in factors)
@@ -360,8 +345,7 @@ def reduced_equal(
     def product(factors) -> FormalTensor:
         nonlocal crossed
         crossed += math.prod(len(t.pairs) for t in factors)
-        if crossed > MAX_WITNESS_PAIRS:
-            raise OutOfBudget(f"witness search crossed more than {MAX_WITNESS_PAIRS} pairs")
+        within(crossed, MAX_WITNESS_PAIRS, OutOfBudget, "witness search crossed more than {cap} pairs")
         return tensor_product(factors)
 
     for c in _witness_candidates((x.a, x.b, y.a, y.b), witness_bound, hint, product):

@@ -13,8 +13,6 @@ import json
 from fractions import Fraction
 
 from .adelic import (
-    MAX_NAMED_PRIME,
-    MAX_PRIME_BOUND,
     FiniteSection,
     LOCALIZED,
     ModuleHandle,
@@ -25,7 +23,16 @@ from .adelic import (
     primes_above,
 )
 from .envelope import Envelope
-from .errors import MalformedInput, OutOfDomain
+from .errors import (
+    MAX_NAMED_PRIME,
+    MAX_PRIME_BOUND,
+    MAX_TENSOR_PAIRS,
+    MAX_VECTOR_BITS,
+    MalformedInput,
+    OutOfBudget,
+    OutOfDomain,
+    within,
+)
 from .polygeom import EMPTY, PROPER, ZERO, GeneratorDecomposition, SymPolygon, to_grid
 from .quadfield import (
     HEEGNER_DS,
@@ -37,11 +44,6 @@ from .quadfield import (
 )
 from .tensorlab import FormalTensor
 
-# the sum of |e| * bit length of p over a vector's exponents: a vector's
-# generator then has about this many bits, and an iso witness of two vectors
-# stays under 2500 digits, below Python's 4300-digit int-to-str limit
-MAX_VECTOR_BITS = 4096
-
 
 def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
@@ -50,11 +52,6 @@ def dumps(data) -> str:
 def _expect(cond: bool, msg: str):
     if not cond:
         raise MalformedInput(msg)
-
-
-def at_most(value: int, cap: int, what: str) -> int:
-    _expect(value <= cap, f"{what} must be <= {cap}")
-    return value
 
 
 def _as_int(v, what: str) -> int:
@@ -173,7 +170,7 @@ def _named_p(data) -> int:
     _expect({"p", "kind", "gen"} <= set(v), 'prime needs "p", "kind", "gen"')
     p = _as_int(v["p"], "p")
     _expect(p >= 2, "p must be >= 2")
-    return at_most(p, MAX_NAMED_PRIME, "p")
+    return within(p, MAX_NAMED_PRIME, MalformedInput, "p must be <= {cap}")
 
 
 def prime_from_json(f: Field, data) -> PrimeIdeal:
@@ -195,7 +192,7 @@ def _named_primes(f: Field, entries: list) -> list[PrimeIdeal]:
     # primes_above scans range(p) for each fresh p, so the distinct p of one
     # vector, module or section are capped by their sum before any is resolved
     total = sum({_named_p(entry) for entry in entries})
-    _expect(total <= MAX_NAMED_PRIME, f"the distinct named primes p must sum to <= {MAX_NAMED_PRIME}")
+    within(total, MAX_NAMED_PRIME, MalformedInput, "the distinct named primes p must sum to <= {cap}")
     return [prime_from_json(f, entry) for entry in entries]
 
 
@@ -212,7 +209,7 @@ def vector_from_json(f: Field, data) -> ValuationVector:
     primes = _named_primes(f, [p for p, _ in entries] + as_list(v.get("free", []), "free"))
     exps = [(prime, _as_int(e, "exponent")) for prime, (_, e) in zip(primes, entries)]
     bits = sum(abs(e) * prime.p.bit_length() for prime, e in exps)
-    at_most(bits, MAX_VECTOR_BITS, "sum of |e| * bit length of p")
+    within(bits, MAX_VECTOR_BITS, MalformedInput, "sum of |e| * bit length of p must be <= {cap}")
     return ValuationVector.make(f, exps, primes[len(exps) :])
 
 
@@ -246,7 +243,7 @@ def section_to_json(s: FiniteSection) -> dict:
 
 def section_from_json(f: Field, data) -> FiniteSection:
     v = as_dict(data, "section")
-    bound = at_most(_as_int(v.get("bound", 200), "bound"), MAX_PRIME_BOUND, "bound")
+    bound = within(_as_int(v.get("bound", 200), "bound"), MAX_PRIME_BOUND, MalformedInput, "bound must be <= {cap}")
     entries = _entries(as_list(v.get("values", []), "values"), "section entry", ("prime", "value"))
     primes = _named_primes(f, [p for p, _ in entries])
     values = [(prime, quadrat_from_json(f, x)) for prime, (_, x) in zip(primes, entries)]
@@ -259,11 +256,10 @@ def tensor_to_json(t: FormalTensor) -> dict:
 
 def tensor_from_json(data) -> FormalTensor:
     v = as_dict(data, "tensor")
-    pairs = [
-        (envelope_from_json(e), envelope_from_json(g))
-        for e, g in _entries(as_list(v.get("pairs", []), "pairs"), "tensor pair", ("envelope", "envelope"))
-    ]
-    return FormalTensor.make(pairs)
+    pairs = as_list(v.get("pairs", []), "pairs")
+    within(len(pairs), MAX_TENSOR_PAIRS, OutOfBudget, "a tensor normal form takes more than {cap} pairs")
+    entries = _entries(pairs, "tensor pair", ("envelope", "envelope"))
+    return FormalTensor.make((envelope_from_json(e), envelope_from_json(g)) for e, g in entries)
 
 
 def decomposition_to_json(dec: GeneratorDecomposition | None):

@@ -3,23 +3,34 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tropigon import cli, wire
-from tropigon.cli import MAX_EXPERIMENT_SAMPLES, MAX_PRIME_BOUND, MAX_WITNESS_BOUND
-from tropigon.polygeom import MAX_MEMBERSHIP_NODES, MAX_MEMBERSHIP_NORM
-from tropigon.adelic import MAX_NAMED_PRIME
-from tropigon.tensorlab import MAX_TENSOR_PAIRS, MAX_WITNESS_PAIRS, random_envelope
-from tropigon.errors import MalformedInput
+from tropigon import cli, errors, wire
+from tropigon.errors import (
+    MAX_EXPERIMENT_SAMPLES,
+    MAX_MEMBERSHIP_NODES,
+    MAX_MEMBERSHIP_NORM,
+    MAX_NAMED_PRIME,
+    MAX_PRIME_BOUND,
+    MAX_TENSOR_PAIRS,
+    MAX_VECTOR_BITS,
+    MAX_WITNESS_BOUND,
+    MAX_WITNESS_PAIRS,
+    MalformedInput,
+    OutOfBudget,
+)
+from tropigon.tensorlab import random_envelope
 from tropigon.quadfield import field
-from tropigon.wire import MAX_VECTOR_BITS
 
 CMD = [sys.executable, "-m", "tropigon.cli"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args, stdin=None, timeout=None):
@@ -224,15 +235,16 @@ def test_primes_bound_validation():
     assert code == 2
 
 
+# One row per capped flag: the cap's declared name and the flag's arguments
 CAPPED = [
-    (["primes", "--field", "1", "--bound"], MAX_PRIME_BOUND),
-    (["tensor", "experiment", "--bound"], MAX_EXPERIMENT_SAMPLES),
-    (["tensor", "experiment", "--bound", "2", "--witness-bound"], MAX_WITNESS_BOUND),
-    (["tensor", "reduce", "--witness-bound"], MAX_WITNESS_BOUND),
+    ("MAX_PRIME_BOUND", ["primes", "--field", "1", "--bound"]),
+    ("MAX_EXPERIMENT_SAMPLES", ["tensor", "experiment", "--bound"]),
+    ("MAX_WITNESS_BOUND", ["tensor", "experiment", "--bound", "2", "--witness-bound"]),
+    ("MAX_WITNESS_BOUND", ["tensor", "reduce", "--witness-bound"]),
 ]
 
 
-@pytest.mark.parametrize("args, cap", CAPPED)
+@pytest.mark.parametrize("args, cap", [(args, getattr(errors, name)) for name, args in CAPPED])
 def test_cap_plus_one_is_malformed(args, cap):
     code, (line,) = run_json(args + [str(cap + 1)], {})
     assert code == 2
@@ -371,13 +383,14 @@ def _cross(m, n):
     return {"x": {"a": _antichain(m), "b": one}, "y": {"a": one, "b": _antichain(n, m)}}
 
 
-# One row per cap on an input that sizes work: the largest allowed input
-# answers within the timeout, and one step past the cap exits 2.  A row may
-# name a third input, far past the cap, that must also exit 2 in time.
+# One row per cap on an input that sizes work, led by the cap's declared name:
+# the largest allowed input answers within the timeout, and one step past the
+# cap exits 2.  A row may name a third input, far past the cap, that must also
+# exit 2 in time.
 WORK_CAPS = [
     # both primes are inert in Z[i], and primes_above scans range(p)
     pytest.param(
-        ["adele", "--field", "1"], _named_prime(9_999_991), _named_prime(10_000_019),
+        "MAX_NAMED_PRIME", ["adele", "--field", "1"], _named_prime(9_999_991), _named_prime(10_000_019),
         {"error": f"p must be <= {MAX_NAMED_PRIME}", "kind": "malformed-input"},
         None,
         id="named-prime",
@@ -385,28 +398,29 @@ WORK_CAPS = [
     # the support of delta/gen lies over 2 and den; 2**61 - 1 is prime, so
     # trial division runs up to the cap before it refuses
     pytest.param(
-        ["adele", "--field", "1"], _generator_over(9_999_991), _generator_over(10_000_019),
+        "MAX_NAMED_PRIME", ["adele", "--field", "1"], _generator_over(9_999_991), _generator_over(10_000_019),
         {"error": f"norm times denominator has a prime factor over {MAX_NAMED_PRIME}", "kind": "out-of-budget"},
         _generator_over(2**61 - 1),
         id="module-generator",
     ),
     # 3 has bit length 2; at exponent 10**5 the answer would pass the int-to-str limit
     pytest.param(
-        ["adele", "--field", "1"], _power_of_three(MAX_VECTOR_BITS // 2), _power_of_three(MAX_VECTOR_BITS // 2 + 1),
+        "MAX_VECTOR_BITS", ["adele", "--field", "1"], _power_of_three(MAX_VECTOR_BITS // 2), _power_of_three(MAX_VECTOR_BITS // 2 + 1),
         {"error": f"sum of |e| * bit length of p must be <= {MAX_VECTOR_BITS}", "kind": "malformed-input"},
         _power_of_three(100_000),
         id="vector-bits",
     ),
     # each fresh named prime costs a range(p) scan; 170 primes near 10**7 fit MAX_VECTOR_BITS
     pytest.param(
-        ["adele", "--field", "1"], _named_prime(9_999_991), _named_primes([P5000011, P5000077]),
+        "MAX_NAMED_PRIME", ["adele", "--field", "1"], _named_prime(9_999_991), _named_primes([P5000011, P5000077]),
         {"error": f"the distinct named primes p must sum to <= {MAX_NAMED_PRIME}", "kind": "malformed-input"},
         _named_primes(_inert_primes_below(10**7, 170)),
         id="named-primes",
     ),
-    # (10**2150 - 1)**2 has 4300 digits and 10**4300 has 4301; each input stays under the limit
+    # (10**2150 - 1)**2 has 4300 digits and 10**4300 has 4301; each input stays under the limit,
+    # which is Python's, not a declared cap
     pytest.param(
-        ["poly"], _square_scaled(10**2150 - 1), _square_scaled(10**2150),
+        None, ["poly"], _square_scaled(10**2150 - 1), _square_scaled(10**2150),
         {"error": f"answer has an integer over the {sys.get_int_max_str_digits()}-digit int-to-str limit",
          "kind": "out-of-budget"},
         _square_scaled(10**4200),
@@ -414,35 +428,36 @@ WORK_CAPS = [
     ),
     # norm 400 for 20, norm 401 for 3 + 14*omega
     pytest.param(
-        ["stalk"], _rhombus(20, 0), _rhombus(3, 14),
+        "MAX_MEMBERSHIP_NORM", ["stalk"], _rhombus(20, 0), _rhombus(3, 14),
         {"error": f"membership search norm bound 401 is over {MAX_MEMBERSHIP_NORM}", "kind": "out-of-budget"},
         None,
         id="membership-norm",
     ),
     # the search reaches 1664 polygons at n = 10, and more than the budget at n = 11
     pytest.param(
-        ["member"], _family(10), _family(11),
+        "MAX_MEMBERSHIP_NODES", ["member"], _family(10), _family(11),
         {"error": f"membership search reached more than {MAX_MEMBERSHIP_NODES} nodes", "kind": "out-of-budget"},
         None,
         id="membership-nodes",
     ),
     # the unknown answer crosses 848 pairs; the fruitless search passes the budget at depth 6
     pytest.param(
-        ["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)], _SHIFTED, _FRUITLESS,
+        "MAX_WITNESS_PAIRS", ["tensor", "reduce", "--witness-bound", str(MAX_WITNESS_BOUND)], _SHIFTED, _FRUITLESS,
         {"error": f"witness search crossed more than {MAX_WITNESS_PAIRS} pairs", "kind": "out-of-budget"},
         None,
         id="witness-pairs",
     ),
-    # every pair is kept, and the largest still answers in under a second
+    # every pair is kept, and the largest still answers in under a second; the
+    # far request is refused before any of its envelopes is built
     pytest.param(
-        ["tensor", "normalize"], _antichain(MAX_TENSOR_PAIRS), _antichain(MAX_TENSOR_PAIRS + 1),
+        "MAX_TENSOR_PAIRS", ["tensor", "normalize"], _antichain(MAX_TENSOR_PAIRS), _antichain(MAX_TENSOR_PAIRS + 1),
         {"error": f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs", "kind": "out-of-budget"},
-        None,
+        _antichain(100_000),
         id="tensor-pairs",
     ),
     # 5000 = 50 * 100 and 5001 = 3 * 1667; the far cross of 10**6 pairs is refused before it is built
     pytest.param(
-        ["tensor", "reduce"], _cross(50, 100), _cross(3, 1667),
+        "MAX_TENSOR_PAIRS", ["tensor", "reduce"], _cross(50, 100), _cross(3, 1667),
         {"error": f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs", "kind": "out-of-budget"},
         _cross(1000, 1000),
         id="product-pairs",
@@ -450,8 +465,10 @@ WORK_CAPS = [
 ]
 
 
-@pytest.mark.parametrize("args, largest, past, refusal, far", WORK_CAPS)
-def test_work_caps(args, largest, past, refusal, far):
+@pytest.mark.parametrize("cap, args, largest, past, refusal, far", WORK_CAPS)
+def test_work_caps(cap, args, largest, past, refusal, far):
+    if cap is not None:
+        assert str(getattr(errors, cap)) in refusal["error"]
     code, out, err = run(args, json.dumps(largest), timeout=15)
     assert code == 0, err
     assert "error" not in json.loads(out)
@@ -462,6 +479,31 @@ def test_work_caps(args, largest, past, refusal, far):
         code, out, _ = run(args, json.dumps(far), timeout=15)
         assert code == 2
         assert json.loads(out)["kind"] == refusal["kind"]
+
+
+def _declared_caps():
+    return {name for name in vars(errors) if name.startswith("MAX_")}
+
+
+def test_every_cap_has_a_limit_test():
+    # a row of CAPPED or WORK_CAPS tests the largest accepted input or the first refused one
+    named = ({name for name, _ in CAPPED} | {row.values[0] for row in WORK_CAPS}) - {None}
+    assert named == _declared_caps()
+
+
+def test_the_cap_tables_name_exactly_the_declared_caps():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"errors\.(MAX_\w+)", readme)) == _declared_caps()
+    assert set(re.findall(r"\bMAX_\w+", errors.__doc__)) == _declared_caps()
+
+
+def test_tensor_pairs_are_counted_before_any_envelope_is_built(monkeypatch):
+    def unreachable(data):
+        raise AssertionError("an envelope was built")
+
+    monkeypatch.setattr(wire, "envelope_from_json", unreachable)
+    with pytest.raises(OutOfBudget, match=f"a tensor normal form takes more than {MAX_TENSOR_PAIRS} pairs"):
+        wire.tensor_from_json(_antichain(MAX_TENSOR_PAIRS + 1))
 
 
 @pytest.mark.parametrize(

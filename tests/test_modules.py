@@ -1,6 +1,7 @@
-"""Module boundaries inside the package."""
+"""Module boundaries inside the package, and the mutation list kept applicable."""
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -171,4 +172,62 @@ def test_no_test_module_imports_another():
     found = []
     for path in sorted(TESTS.glob("*.py")):
         found += [f"{path.name}: {m}" for m in _imported_modules(path) if m.split(".")[0] in tests]
+    assert found == []
+
+
+def _functions(tree, name):
+    return [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+
+
+def test_caps_are_assigned_only_in_errors():
+    # errors.py declares every cap beside its table of checks
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{path.name}:{node.lineno}" for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name) and n.id.startswith("MAX_")]
+    assert found == []
+
+
+def test_out_of_budget_is_raised_only_by_the_cap_check():
+    # errors.within is the one check of a cap; cli._emit refuses an answer past
+    # Python's int-to-str limit, which is not a cap of ours
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {"errors.py": "within", "cli.py": "_emit"}.get(path.name)
+        skip = {n for fn in _functions(tree, allowed) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node not in skip and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "OutOfBudget":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_caps_are_imported_only_from_errors():
+    found = []
+    for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "") not in ("errors", "tropigon.errors"):
+                found += [f"{path.name}: {a.name} from {node.module}" for a in node.names if a.name.startswith("MAX_")]
+    assert found == []
+
+
+def test_every_mutation_still_applies():
+    # tests/mutants.py runs each mutation's tests, which takes many minutes; this
+    # applies none, and checks only that each old text occurs once in its file
+    # and that each test it names is defined in its module
+    found = []
+    for m in json.loads((TESTS / "data" / "mutations.json").read_text(encoding="utf-8")):
+        if (ROOT / m["file"]).read_text(encoding="utf-8").count(m["old"]) != 1:
+            found.append(f"{m['name']}: old text")
+        for node_id in m["tests"]:
+            path, name = node_id.split("::")
+            if not _functions(ast.parse((ROOT / path).read_text(encoding="utf-8")), name.split("[")[0]):
+                found.append(f"{m['name']}: {node_id}")
     assert found == []

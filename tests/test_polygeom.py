@@ -33,8 +33,8 @@ from tropigon import (
 )
 from tropigon import envelope, polygeom, quadfield, wire
 from tropigon.envelope import Envelope, phi, tmax, tplus
-from tropigon.errors import NotProper, WrongField, ZeroInput
-from tropigon.polygeom import GeneratorDecomposition, MAX_MEMBERSHIP_NORM, _mul_affix, covers, to_grid
+from tropigon.errors import MAX_MEMBERSHIP_NORM, NotProper, WrongField, ZeroInput
+from tropigon.polygeom import GeneratorDecomposition, _mul_affix, covers, to_grid
 from tropigon.quadfield import PlanePoint, enumerate_norm_le, gcd
 from tropigon.selftest import random_polygon
 

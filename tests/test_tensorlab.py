@@ -38,11 +38,9 @@ from tropigon import (
     tplus,
 )
 from tropigon import tensorlab, wire
-from tropigon.errors import OutOfBudget, OutOfDomain, WrongField
+from tropigon.errors import MAX_TENSOR_PAIRS, MAX_WITNESS_PAIRS, OutOfBudget, OutOfDomain, WrongField
 from tropigon.selftest import _lowered
 from tropigon.tensorlab import (
-    MAX_TENSOR_PAIRS,
-    MAX_WITNESS_PAIRS,
     UNKNOWN,
     _exceeds_somewhere,
     _witness_candidates,
