@@ -13,7 +13,6 @@ is equality of descriptors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     within,
 )
 from .polygeom import PROPER, SymPolygon, membership_in_generated, scale_act
-from .quadfield import Field, QuadInt, QuadRat, canonical_unit_rep, gcd, same_field
+from .quadfield import Field, QuadInt, QuadRat, Value, canonical_unit_rep, gcd, same_field
 
 SPLIT = "split"
 INERT = "inert"
@@ -40,14 +39,30 @@ ZERO_MODULE = "zero"
 PRINCIPAL = "principal"
 LOCALIZED = "localized"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class PrimeIdeal:
-    field: Field
-    p: int
-    kind: str
-    gen: QuadInt
-    index: int  # 0, or 1 for the second member of a split pair
+
+class PrimeIdeal(Value):
+    __slots__ = ("field", "p", "kind", "gen", "index", "_hash")
+    __match_args__ = ("field", "p", "kind", "gen", "index")
+
+    def __init__(self, field: Field, p: int, kind: str, gen: QuadInt, index: int):
+        _set(self, "field", field)
+        _set(self, "p", p)
+        _set(self, "kind", kind)
+        _set(self, "gen", gen)
+        _set(self, "index", index)  # 0, or 1 for the second member of a split pair
+        _set(self, "_hash", hash((field, p, kind, gen, index)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.p, self.kind, self.gen, self.index) == (
+            other.field, other.p, other.kind, other.gen, other.index
+        )
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def residue_degree(self) -> int:
@@ -224,11 +239,14 @@ def support_primes(q: QuadRat) -> list[PrimeIdeal]:
     return out
 
 
-@dataclass(frozen=True)
-class ValuationVector:
-    field: Field
-    exps: tuple[tuple[PrimeIdeal, int], ...]
-    free: tuple[PrimeIdeal, ...]
+class ValuationVector(Value):
+    __slots__ = ("field", "exps", "free")
+    __match_args__ = __slots__
+
+    def __init__(self, field: Field, exps: tuple[tuple[PrimeIdeal, int], ...], free: tuple[PrimeIdeal, ...]):
+        _set(self, "field", field)
+        _set(self, "exps", exps)
+        _set(self, "free", free)
 
     @staticmethod
     def make(f: Field, exps=(), free=()) -> ValuationVector:
@@ -255,12 +273,15 @@ class ValuationVector:
         return f"ValuationVector(d={self.field.d}, exps=[{es}], free=[{fs}])"
 
 
-@dataclass(frozen=True)
-class ModuleHandle:
-    field: Field
-    kind: str
-    gen: QuadRat | None
-    free: tuple[PrimeIdeal, ...]
+class ModuleHandle(Value):
+    __slots__ = ("field", "kind", "gen", "free")
+    __match_args__ = __slots__
+
+    def __init__(self, field: Field, kind: str, gen: QuadRat | None, free: tuple[PrimeIdeal, ...]):
+        _set(self, "field", field)
+        _set(self, "kind", kind)
+        _set(self, "gen", gen)
+        _set(self, "free", free)
 
     @staticmethod
     def zero(f: Field) -> ModuleHandle:
@@ -334,11 +355,14 @@ def point_iso(pa: tuple[ValuationVector, QuadRat], pb: tuple[ValuationVector, Qu
     return point_over_c(*pa) == point_over_c(*pb)
 
 
-@dataclass(frozen=True)
-class FiniteSection:
-    field: Field
-    prime_bound: int
-    values: tuple[tuple[PrimeIdeal, QuadRat], ...]
+class FiniteSection(Value):
+    __slots__ = ("field", "prime_bound", "values")
+    __match_args__ = __slots__
+
+    def __init__(self, field: Field, prime_bound: int, values: tuple[tuple[PrimeIdeal, QuadRat], ...]):
+        _set(self, "field", field)
+        _set(self, "prime_bound", prime_bound)
+        _set(self, "values", values)
 
     @staticmethod
     def make(f: Field, prime_bound: int, values=()) -> FiniteSection:
@@ -376,11 +400,14 @@ def section_act(k: QuadInt, s: FiniteSection) -> FiniteSection:
     return out
 
 
-@dataclass(frozen=True)
-class GenericFiber:
+class GenericFiber(Value):
     """The two-element semiring: EMPTY is additive zero, ZERO the unit."""
 
-    elements: tuple[str, str] = ("empty", "zero")
+    __slots__ = ("elements",)
+    __match_args__ = __slots__
+
+    def __init__(self, elements: tuple[str, str] = ("empty", "zero")):
+        _set(self, "elements", elements)
 
     def _check(self, x: str):
         if x not in self.elements:
@@ -397,10 +424,13 @@ class GenericFiber:
         return "empty" if "empty" in (x, y) else "zero"
 
 
-@dataclass(frozen=True)
-class PrimeFiber:
-    prime: PrimeIdeal
-    module: ModuleHandle
+class PrimeFiber(Value):
+    __slots__ = ("prime", "module")
+    __match_args__ = __slots__
+
+    def __init__(self, prime: PrimeIdeal, module: ModuleHandle):
+        _set(self, "prime", prime)
+        _set(self, "module", module)
 
     def member(self, poly: SymPolygon) -> tuple[bool, int | None]:
         """Is the polygon in the semiring generated by {h*D_K : h in H(prime)}?

@@ -9,6 +9,9 @@ reader closed stdout early, and nothing more is printed.
 
 Each input that sizes the work has a cap, and past it the request exits 2;
 `errors` declares the caps and lists each check.
+
+Only `errors` and `wire` are imported here; each handler imports the
+modules it runs, so a request loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -20,16 +23,6 @@ import re
 import sys
 
 from . import wire
-from .adelic import (
-    adele_from_module,
-    ideal_count_upto,
-    iso_class_equal,
-    module_from_adele,
-    primes_upto,
-    section_act,
-    section_violation,
-)
-from .envelope import phi, phi_inv
 from .errors import (
     MAX_EXPERIMENT_SAMPLES,
     MAX_PRIME_BOUND,
@@ -39,10 +32,6 @@ from .errors import (
     OutOfBudget,
     within,
 )
-from .polygeom import hull_union, membership_in_generated, minkowski_sum, scale_act, stalk_scale
-from .quadfield import Field
-from .render import render_polygon_svg
-from .tensorlab import ReducedElement, cancellativity_experiment, eval_separator, reduced_equal
 
 
 def _load_json(args) -> object:
@@ -69,7 +58,8 @@ def _need(data: dict, key: str):
     return data[key]
 
 
-def _field_flag(args, required: bool = False) -> Field | None:
+def _field_flag(args, required: bool = False):
+    """The field of --field, or None when it is absent and not required."""
     d = args.field
     if d is None:
         if required:
@@ -115,6 +105,8 @@ def cmd_field_info(args) -> dict:
 
 
 def cmd_poly(args) -> dict:
+    from .polygeom import hull_union, minkowski_sum, scale_act
+
     data = _request(args)
     op = _need(data, "op")
     ef = _field_flag(args)
@@ -131,12 +123,16 @@ def cmd_poly(args) -> dict:
 
 
 def cmd_member(args) -> dict:
+    from .polygeom import membership_in_generated
+
     p, gens = _polygon_with(args, "generators", wire.quadrat_from_json)
     ok, dec = membership_in_generated(p, gens or None)
     return {"member": ok, "decomposition": wire.decomposition_to_json(dec)}
 
 
 def cmd_dual(args) -> dict:
+    from .envelope import phi, phi_inv
+
     data = _request(args)
     ef = _field_flag(args)
     if data.get("tag") == "bottom" or "lines" in data:
@@ -147,6 +143,8 @@ def cmd_dual(args) -> dict:
 
 
 def cmd_primes(args) -> dict:
+    from .adelic import ideal_count_upto, primes_upto
+
     f = _field_flag(args, required=True)
     bound = within(args.bound, MAX_PRIME_BOUND, MalformedInput, "--bound must be <= {cap}")
     if bound < 2:
@@ -160,6 +158,8 @@ def cmd_primes(args) -> dict:
 
 
 def cmd_adele(args) -> dict:
+    from .adelic import adele_from_module, iso_class_equal, module_from_adele, section_act, section_violation
+
     f = _field_flag(args, required=True)
     data = _request(args)
     op = _need(data, "op")
@@ -193,6 +193,8 @@ def cmd_adele(args) -> dict:
 
 
 def cmd_stalk(args) -> dict:
+    from .polygeom import stalk_scale
+
     data = _request(args)
     ef = _field_flag(args)
     p = wire.polygon_from_json(_need(data, "polygon"), ef)
@@ -206,12 +208,16 @@ def cmd_stalk(args) -> dict:
     }
 
 
-def _reduced(data: dict, key: str) -> ReducedElement:
+def _reduced(data: dict, key: str):
+    from .tensorlab import ReducedElement
+
     xd = wire.as_dict(_need(data, key), key)
     return ReducedElement(wire.tensor_from_json(_need(xd, "a")), wire.tensor_from_json(_need(xd, "b")))
 
 
 def cmd_tensor(args) -> dict | int:
+    from .tensorlab import cancellativity_experiment, eval_separator, reduced_equal
+
     wb = within(args.witness_bound, MAX_WITNESS_BOUND, MalformedInput, "--witness-bound must be <= {cap}")
     if args.op == "experiment":
         samples = within(args.bound, MAX_EXPERIMENT_SAMPLES, MalformedInput, "--bound must be <= {cap}")
@@ -239,6 +245,8 @@ def cmd_tensor(args) -> dict | int:
 
 
 def cmd_render(args) -> dict | int:
+    from .render import render_polygon_svg
+
     p, overlays = _polygon_with(args, "overlays", lambda f, o: wire.polygon_from_json(o, f))
     svg = render_polygon_svg(p, overlays)
     if not args.svg:
@@ -253,7 +261,6 @@ def cmd_render(args) -> dict | int:
 
 
 def cmd_selftest(args) -> int:
-    # imported here so that no other subcommand pays for it
     from . import selftest
 
     return 0 if selftest.run(args.seed) else 1

@@ -40,17 +40,18 @@ and Minkowski sum becomes pointwise +.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import OutOfDomain, WrongField
 from .polygeom import SymPolygon, chain_sum, covers, lowest_terms, monotone_chain, over_lcm, to_grid
-from .quadfield import field
+from .quadfield import Value, field
 
 Line = tuple[Fraction, Fraction]
 
 NEG_INF = float("-inf")
+
+_set = object.__setattr__
 
 
 def cut(upper):
@@ -73,10 +74,27 @@ def leq_walk(arc):
     return ((a0, b0 - 1),) + arc + ((a1 - 1, b1),)
 
 
-@dataclass(frozen=True)
-class Envelope:
-    scale: int
-    arc: tuple[tuple[int, int], ...]  # () encodes BOTTOM
+class Envelope(Value):
+    __slots__ = ("scale", "arc", "_hash", "__dict__")  # `lines` is cached in __dict__
+    __match_args__ = ("scale", "arc")
+
+    def __init__(self, scale: int, arc: tuple[tuple[int, int], ...]):
+        _set(self, "scale", scale)
+        _set(self, "arc", arc)  # () encodes BOTTOM
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scale, self.arc) == (other.scale, other.arc)
+
+    def __hash__(self):
+        # stored at the first call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.scale, self.arc))
+            _set(self, "_hash", h)
+            return h
 
     @staticmethod
     def bottom() -> Envelope:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import lshift
@@ -50,11 +49,13 @@ from .errors import (
     ZeroInput,
     within,
 )
-from .quadfield import Field, PlanePoint, QuadInt, QuadRat, from_affix, gcd, same_field
+from .quadfield import Field, PlanePoint, QuadInt, QuadRat, Value, from_affix, gcd, same_field
 
 EMPTY = "empty"
 ZERO = "zero"
 PROPER = "proper"
+
+_set = object.__setattr__
 
 
 def to_grid(pairs):
@@ -177,11 +178,28 @@ def covers(walk, s: int, pts, t: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SymPolygon:
-    field: Field
-    scale: int
-    lower: tuple[tuple[int, int], ...]
+class SymPolygon(Value):
+    __slots__ = ("field", "scale", "lower", "_hash", "__dict__")  # the views are cached in __dict__
+    __match_args__ = ("field", "scale", "lower")
+
+    def __init__(self, field: Field, scale: int, lower: tuple[tuple[int, int], ...]):
+        _set(self, "field", field)
+        _set(self, "scale", scale)
+        _set(self, "lower", lower)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.scale, self.lower) == (other.field, other.scale, other.lower)
+
+    def __hash__(self):
+        # stored at the first call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.field, self.scale, self.lower))
+            _set(self, "_hash", h)
+            return h
 
     @property
     def tag(self) -> str:
@@ -300,9 +318,12 @@ def scale_act(mu: QuadRat, a: SymPolygon) -> SymPolygon:
     return SymPolygon(f, *lowest_terms(a.scale * f.case * mu.den, lower))
 
 
-@dataclass(frozen=True)
-class GeneratorDecomposition:
-    summand_sets: tuple[tuple[QuadRat, ...], ...]
+class GeneratorDecomposition(Value):
+    __slots__ = ("summand_sets",)
+    __match_args__ = __slots__
+
+    def __init__(self, summand_sets: tuple[tuple[QuadRat, ...], ...]):
+        _set(self, "summand_sets", summand_sets)
 
     def replay(self, f: Field) -> SymPolygon:
         base = dk(f)
@@ -548,10 +569,13 @@ def aut_orbit_equiv(mu: QuadRat, nu: QuadRat) -> bool:
     return q.den == 1 and q.num.is_unit()
 
 
-@dataclass(frozen=True)
-class StalkElement:
-    polygon: SymPolygon
-    generator: QuadRat
+class StalkElement(Value):
+    __slots__ = ("polygon", "generator")
+    __match_args__ = __slots__
+
+    def __init__(self, polygon: SymPolygon, generator: QuadRat):
+        _set(self, "polygon", polygon)
+        _set(self, "generator", generator)
 
     def member(self) -> tuple[bool, GeneratorDecomposition | None]:
         return membership_in_generated(self.polygon, [self.generator])

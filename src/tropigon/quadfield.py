@@ -14,12 +14,13 @@ omega = (tr + i*sqrt(d))/case.
 The element <-> plane-point map lives here alone, in integers: `QuadInt.affix`
 and its inverse `from_affix`.  `plane` and `PlanePoint` are rational views of
 it, kept for callers.
+
+`Value` is the base of the package's immutable value types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -27,14 +28,65 @@ from .errors import BothZero, CheckFailed, DivByZero, FieldMismatch, ZeroInput, 
 
 HEEGNER_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Field:
-    d: int
 
-    def __post_init__(self):
-        if self.d not in HEEGNER_DS:
-            raise ValueError(f"d must be one of {HEEGNER_DS}, got {self.d}")
+class Value:
+    """An immutable value whose fields are named by `__match_args__`, a slot each.
+
+    A subclass sets its fields in `__init__` through `object.__setattr__`;
+    assignment and deletion raise afterwards.  `==` compares the tuples of
+    fields of two values of one class (another class gives NotImplemented),
+    `hash` is the hash of that tuple and `repr` lists the fields by name, as
+    a frozen dataclass's do.  The types on hot paths write out their own
+    `__init__`, `__eq__` and `__hash__`, with no loop over the names.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a value through its constructor
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class Field(Value):
+    __slots__ = ("d", "_hash", "__dict__")  # the views below are cached in __dict__
+    __match_args__ = ("d",)
+
+    def __init__(self, d: int):
+        if d not in HEEGNER_DS:
+            raise ValueError(f"d must be one of {HEEGNER_DS}, got {d}")
+        _set(self, "d", d)
+        _set(self, "_hash", hash((d,)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def case(self) -> int:
@@ -93,11 +145,22 @@ def same_field(x, y):
         raise FieldMismatch(f"d={x.field.d} vs d={y.field.d}")
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    field: Field
-    a: int
-    b: int
+class QuadInt(Value):
+    __slots__ = ("field", "a", "b")
+    __match_args__ = __slots__
+
+    def __init__(self, field: Field, a: int, b: int):
+        _set(self, "field", field)
+        _set(self, "a", a)
+        _set(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.a, self.b) == (other.field, other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.field, self.a, self.b))
 
     def __add__(self, other: QuadInt) -> QuadInt:
         same_field(self, other)
@@ -166,12 +229,23 @@ def canonical_unit_rep(x: QuadInt) -> QuadInt:
     raise CheckFailed("no unit image in sector")  # unreachable
 
 
-@dataclass(frozen=True)
-class QuadRat:
+class QuadRat(Value):
     """num/den in lowest terms, den > 0."""
 
-    num: QuadInt
-    den: int
+    __slots__ = ("num", "den")
+    __match_args__ = __slots__
+
+    def __init__(self, num: QuadInt, den: int):
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @staticmethod
     def make(num: QuadInt, den: int) -> QuadRat:
@@ -271,12 +345,15 @@ def from_affix(f: Field, x: int, y: int) -> QuadInt:
     return QuadInt(f, x - f.trace_omega * y, f.case * y)
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(Value):
     """A rational plane point (x, y), meaning x + y*sqrt(d)*i: a view kept for callers."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y")
+    __match_args__ = __slots__
+
+    def __init__(self, x: Fraction, y: Fraction):
+        _set(self, "x", x)
+        _set(self, "y", y)
 
 
 def _norm_form(f: Field, a: int, b: int) -> int:

@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .envelope import NEG_INF, Envelope, eval_at, grid_arc, leq_walk, phi, phi_inv
 from .errors import MAX_TENSOR_PAIRS, MAX_WITNESS_PAIRS, OutOfBudget, WrongField, within
 from .polygeom import chain_sum, covers, lowest_terms, scale_act
-from .quadfield import QuadInt, QuadRat
+from .quadfield import QuadInt, QuadRat, Value
 
 Pair = tuple[Envelope, Envelope]
 
@@ -40,6 +39,8 @@ DISTINCT = "distinct"
 POSSIBLY_EQUAL = "possibly_equal"
 EQUAL = "equal"
 UNKNOWN = "unknown"
+
+_set = object.__setattr__
 
 
 def _on_grid(pairs, scale: int, known: dict) -> list:
@@ -110,9 +111,26 @@ def _normal_form(pairs, scale: int, known: dict) -> FormalTensor:
     return FormalTensor(tuple((envelope(e), envelope(f)) for e, f in sorted(cur)))
 
 
-@dataclass(frozen=True)
-class FormalTensor:
-    pairs: tuple[Pair, ...]
+class FormalTensor(Value):
+    __slots__ = ("pairs", "_hash")
+    __match_args__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[Pair, ...]):
+        _set(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        # stored at the first call
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.pairs,))
+            _set(self, "_hash", h)
+            return h
 
     @staticmethod
     def make(pairs) -> FormalTensor:
@@ -267,8 +285,7 @@ def eval_separator(s: FormalTensor, t: FormalTensor) -> str:
     return POSSIBLY_EQUAL
 
 
-@dataclass(frozen=True)
-class ReducedElement:
+class ReducedElement(Value):
     """A class of the pair quotient (a, b) ~ (a', b') iff a+b'+c = a'+b+c.
 
     The witness c ranges over non-bottom tensors; addition is written
@@ -276,8 +293,12 @@ class ReducedElement:
     tensor_mul as the common-denominator product.
     """
 
-    a: FormalTensor
-    b: FormalTensor
+    __slots__ = ("a", "b")
+    __match_args__ = __slots__
+
+    def __init__(self, a: FormalTensor, b: FormalTensor):
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
 def gamma(t: FormalTensor) -> ReducedElement:

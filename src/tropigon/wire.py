@@ -4,7 +4,8 @@ Integers stay integers, every other scalar is an exact rational serialized as
 a [num, den] pair; no floating point appears in any payload.  Parsers are
 strict: unexpected shapes raise MalformedInput, which the CLI maps to exit 2.
 Each cap on a JSON input that sizes work is checked here, as the input is
-read and before the work it sizes.
+read and before the work it sizes.  `adelic`, `envelope` and `tensorlab` are
+imported by the functions that use them, so a request loads only its own.
 """
 
 from __future__ import annotations
@@ -12,17 +13,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .adelic import (
-    FiniteSection,
-    LOCALIZED,
-    ModuleHandle,
-    PRINCIPAL,
-    PrimeIdeal,
-    ValuationVector,
-    ZERO_MODULE,
-    primes_above,
-)
-from .envelope import Envelope
 from .errors import (
     MAX_NAMED_PRIME,
     MAX_PRIME_BOUND,
@@ -42,7 +32,6 @@ from .quadfield import (
     canonical_unit_rep,
     field,
 )
-from .tensorlab import FormalTensor
 
 
 def dumps(data) -> str:
@@ -146,13 +135,15 @@ def polygon_from_json(data, expect_field: Field | None = None) -> SymPolygon:
     return SymPolygon.from_grid(f, *to_grid(pts))
 
 
-def envelope_to_json(e: Envelope) -> dict:
+def envelope_to_json(e) -> dict:
     if e.is_bottom():
         return {"tag": "bottom"}
     return {"lines": _pairs_to_json(e.lines)}
 
 
-def envelope_from_json(data) -> Envelope:
+def envelope_from_json(data):
+    from .envelope import Envelope
+
     v = as_dict(data, "envelope")
     if v.get("tag") == "bottom":
         return Envelope.bottom()
@@ -161,7 +152,7 @@ def envelope_from_json(data) -> Envelope:
     return Envelope.of(lines)
 
 
-def prime_to_json(p: PrimeIdeal) -> dict:
+def prime_to_json(p) -> dict:
     return {"p": p.p, "kind": p.kind, "gen": quadint_to_json(p.gen)}
 
 
@@ -173,7 +164,9 @@ def _named_p(data) -> int:
     return within(p, MAX_NAMED_PRIME, MalformedInput, "p must be <= {cap}")
 
 
-def prime_from_json(f: Field, data) -> PrimeIdeal:
+def prime_from_json(f: Field, data):
+    from .adelic import primes_above
+
     p = _named_p(data)
     gen = quadint_from_json(f, data["gen"])
     _expect(not gen.is_zero(), "prime generator must be nonzero")
@@ -188,7 +181,7 @@ def prime_from_json(f: Field, data) -> PrimeIdeal:
     raise MalformedInput(f"no prime over {p} in d={f.d} with that kind and generator")
 
 
-def _named_primes(f: Field, entries: list) -> list[PrimeIdeal]:
+def _named_primes(f: Field, entries: list) -> list:
     # primes_above scans range(p) for each fresh p, so the distinct p of one
     # vector, module or section are capped by their sum before any is resolved
     total = sum({_named_p(entry) for entry in entries})
@@ -196,14 +189,16 @@ def _named_primes(f: Field, entries: list) -> list[PrimeIdeal]:
     return [prime_from_json(f, entry) for entry in entries]
 
 
-def vector_to_json(a: ValuationVector) -> dict:
+def vector_to_json(a) -> dict:
     return {
         "exps": [[prime_to_json(p), e] for p, e in a.exps],
         "free": [prime_to_json(p) for p in a.free],
     }
 
 
-def vector_from_json(f: Field, data) -> ValuationVector:
+def vector_from_json(f: Field, data):
+    from .adelic import ValuationVector
+
     v = as_dict(data, "valuation vector")
     entries = _entries(as_list(v.get("exps", []), "exps"), "exponent entry", ("prime", "e"))
     primes = _named_primes(f, [p for p, _ in entries] + as_list(v.get("free", []), "free"))
@@ -213,7 +208,9 @@ def vector_from_json(f: Field, data) -> ValuationVector:
     return ValuationVector.make(f, exps, primes[len(exps) :])
 
 
-def module_to_json(h: ModuleHandle) -> dict:
+def module_to_json(h) -> dict:
+    from .adelic import LOCALIZED, ZERO_MODULE
+
     if h.kind == ZERO_MODULE:
         return {"kind": ZERO_MODULE}
     out = {"kind": h.kind, "gen": quadrat_to_json(h.gen)}
@@ -222,7 +219,9 @@ def module_to_json(h: ModuleHandle) -> dict:
     return out
 
 
-def module_from_json(f: Field, data) -> ModuleHandle:
+def module_from_json(f: Field, data):
+    from .adelic import LOCALIZED, PRINCIPAL, ZERO_MODULE, ModuleHandle
+
     v = as_dict(data, "module")
     kind = v.get("kind")
     if kind == ZERO_MODULE:
@@ -234,14 +233,16 @@ def module_from_json(f: Field, data) -> ModuleHandle:
     return ModuleHandle.make(f, gen, free)
 
 
-def section_to_json(s: FiniteSection) -> dict:
+def section_to_json(s) -> dict:
     return {
         "bound": s.prime_bound,
         "values": [[prime_to_json(p), quadrat_to_json(x)] for p, x in s.values],
     }
 
 
-def section_from_json(f: Field, data) -> FiniteSection:
+def section_from_json(f: Field, data):
+    from .adelic import FiniteSection
+
     v = as_dict(data, "section")
     bound = within(_as_int(v.get("bound", 200), "bound"), MAX_PRIME_BOUND, MalformedInput, "bound must be <= {cap}")
     entries = _entries(as_list(v.get("values", []), "values"), "section entry", ("prime", "value"))
@@ -250,11 +251,13 @@ def section_from_json(f: Field, data) -> FiniteSection:
     return FiniteSection.make(f, bound, values)
 
 
-def tensor_to_json(t: FormalTensor) -> dict:
+def tensor_to_json(t) -> dict:
     return {"pairs": [[envelope_to_json(e), envelope_to_json(g)] for e, g in t.pairs]}
 
 
-def tensor_from_json(data) -> FormalTensor:
+def tensor_from_json(data):
+    from .tensorlab import FormalTensor
+
     v = as_dict(data, "tensor")
     pairs = as_list(v.get("pairs", []), "pairs")
     within(len(pairs), MAX_TENSOR_PAIRS, OutOfBudget, "a tensor normal form takes more than {cap} pairs")

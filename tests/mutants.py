@@ -5,7 +5,9 @@
 Each entry names a file, a text that occurs in it exactly once, its
 replacement, and the pytest node ids that must all fail after it.  Each
 mutation is applied to a fresh temporary copy of src/, tests/ and
-pyproject.toml, tested as tier-1 tests (PYTHONPATH=src).  Exit status 1
+pyproject.toml, tested as tier-1 tests (PYTHONPATH=src) under the `mutants`
+Hypothesis profile of tests/conftest.py, which does not shrink a failing
+example: one is enough to kill a mutation.  Exit status 1
 means a mutation survived (one of its tests passed) or no longer applies
 (its text is not found exactly once, a node id is not collected, or its
 tests ran past TIMEOUT).  pytest does not collect this file.
@@ -38,7 +40,8 @@ def _run(m):
         shutil.copy(ROOT / "pyproject.toml", copy)
         (copy / m["file"]).write_text(text.replace(m["old"], m["new"]), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", *m["tests"]]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf", "--hypothesis-profile=mutants",
+               *m["tests"]]
         try:
             run = subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tropigon import cli, errors, wire
+from tropigon import adelic, cli, errors, wire
 from tropigon.errors import (
     MAX_EXPERIMENT_SAMPLES,
     MAX_MEMBERSHIP_NODES,
@@ -263,9 +263,9 @@ def test_experiment_at_the_caps():
     # the sample cap reaches the experiment unchanged; a stub stands in for its run time
     script = (
         "import sys\n"
-        "from tropigon import cli\n"
+        "from tropigon import cli, tensorlab\n"
         "seen = []\n"
-        "cli.cancellativity_experiment = lambda n, seed: seen.append(n) or []\n"
+        "tensorlab.cancellativity_experiment = lambda n, seed: seen.append(n) or []\n"
         f"code = cli.main(['tensor', 'experiment', '--bound', '{MAX_EXPERIMENT_SAMPLES}'])\n"
         "print(seen)\n"
         "sys.exit(code)\n"
@@ -519,7 +519,7 @@ def test_named_primes_are_refused_before_any_is_resolved(monkeypatch, parse, dat
     def unreachable(f, p):
         raise AssertionError(f"primes_above({p}) was called")
 
-    monkeypatch.setattr(wire, "primes_above", unreachable)
+    monkeypatch.setattr(adelic, "primes_above", unreachable)
     with pytest.raises(MalformedInput, match="distinct named primes"):
         parse(field(1), data)
 
@@ -635,11 +635,11 @@ def test_adele_broken_invariant_is_exit_3():
     # a CheckFailed from primes_above is an internal error, not bad input
     script = (
         "import sys\n"
-        "from tropigon import cli, wire\n"
+        "from tropigon import adelic, cli\n"
         "from tropigon.errors import CheckFailed\n"
         "def broken(f, p):\n"
         "    raise CheckFailed('broken')\n"
-        "wire.primes_above = broken\n"
+        "adelic.primes_above = broken\n"
         "sys.exit(cli.main(['adele', '--field', '1']))\n"
     )
     payload = json.dumps({"op": "module", "vector": {"exps": [[P2, 1]]}})

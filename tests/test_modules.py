@@ -1,9 +1,13 @@
-"""Module boundaries inside the package, and the mutation list kept applicable."""
+"""Module boundaries inside the package, the modules each request loads, and
+the mutation list kept applicable."""
 
 import ast
 import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "tropigon"
@@ -25,11 +29,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_every_imported_name_is_used():
-    # __init__.py imports only to re-export
+    # __init__.py too: it re-exports through its module __getattr__, with no import
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = [
             a.asname or a.name.split(".")[0]
@@ -41,6 +43,78 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}: {name}" for name in imported if name not in used]
     assert found == []
+
+
+def test_no_dataclasses_in_the_package():
+    # the value types are slotted classes written out (quadfield.Value), so no
+    # request pays for importing dataclasses and what it imports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_package_imports_no_submodule_at_module_level():
+    # `import tropigon` loads nothing more; its names are resolved on first use
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    inside = {n for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if node not in inside
+        and (isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tropigon")))
+        or (isinstance(node, ast.Import) and any(a.name.startswith("tropigon") for a in node.names))
+    ]
+    assert found == []
+
+
+SUBMODULES = {f"tropigon.{p.stem}" for p in SRC.glob("*.py") if p.stem != "__init__"}
+TENSOR = {"pairs": [[{"lines": [[0, 1, 1, 1]]}, {"lines": [[1, 2, 0, 1]]}]]}
+MODULE = {"op": "module", "vector": {"exps": [[{"p": 2, "gen": [1, 1], "kind": "ramified"}, 1]]}}
+
+
+@pytest.mark.parametrize(
+    "argv, payload, needed, absent",
+    [
+        (None, None, set(), SUBMODULES),
+        (
+            ["field-info", "--field", "7"],
+            None,
+            {"tropigon.quadfield"},
+            {"tropigon.adelic", "tropigon.tensorlab", "tropigon.envelope", "tropigon.render", "tropigon.selftest",
+             "dataclasses"},
+        ),
+        (["tensor", "normalize"], TENSOR, {"tropigon.tensorlab"}, {"tropigon.adelic"}),
+        (
+            ["adele", "--field", "1"],
+            MODULE,
+            {"tropigon.adelic"},
+            {"tropigon.tensorlab", "tropigon.envelope", "tropigon.render"},
+        ),
+    ],
+    ids=["import", "field-info", "tensor-normalize", "adele"],
+)
+def test_a_request_loads_only_the_modules_it_runs(argv, payload, needed, absent):
+    # a fresh interpreter imports the package and, given argv, answers one
+    # request through cli.main; sys.modules is read after it
+    script = "import sys\nimport tropigon\ncode = 0\n"
+    if argv is not None:
+        script += f"from tropigon import cli\ncode = cli.main({argv!r})\n"
+    script += "print(' '.join(sorted(sys.modules)))\nsys.exit(code)\n"
+    stdin = json.dumps(payload) if payload is not None else ""
+    p = subprocess.run([sys.executable, "-c", script], input=stdin, capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    loaded = set(p.stdout.splitlines()[-1].split())
+    assert needed <= loaded
+    assert loaded & absent == set()
 
 
 def _is_field_d(node) -> bool:
